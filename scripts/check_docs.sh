@@ -58,7 +58,7 @@ for term in QueryService AnswerMode EvalRequest ShardedDatabase \
             IsShardSound num_shards EvalContext ResponseStatus \
             max_answers deadline \
             Subscribe Publish Poll SubscriptionDelta \
-            DeltaEvaluateQuery CatchUp index_delta_appends \
+            DeltaEvaluateQuery CatchUp index_delta_appends uid \
             cqa_server cqa_client AnswerCursor MakeCursors \
             cursor_invalidated TenantAdmission api_key rate_limited; do
   if ! grep -q "$term" docs/ARCHITECTURE.md; then

@@ -6,7 +6,6 @@
 #ifndef CQA_DATA_DATABASE_H_
 #define CQA_DATA_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -27,6 +26,12 @@ using Tuple = std::vector<Element>;
 ///
 /// Elements are dense integers `0..num_elements()-1`. Facts are deduplicated;
 /// per-relation fact lists preserve insertion order of first occurrence.
+///
+/// Identity: structures derived from a database (cached index views, shard
+/// partitions) are keyed by (uid(), version()), never by content, so two
+/// databases holding equal facts never share one. A uid is never reused,
+/// so an entry left behind by a destroyed database can never be matched
+/// again; caches let it age out instead of requiring an explicit purge.
 class Database {
  public:
   /// An empty database (no elements, no facts) over `vocab`.
@@ -60,25 +65,15 @@ class Database {
   long long NumFacts() const;
 
   /// Mutation counter: bumped every time the database gains an element or a
-  /// (new) fact. Caches that hold structures derived from this database
-  /// (IndexedDatabase views in an EvalCache) record the version they were
-  /// built at and treat a mismatch as staleness; no-op mutations (duplicate
-  /// facts) do not bump it.
+  /// (new) fact; no-op mutations (duplicate facts) do not bump it. Only
+  /// meaningful together with uid(): for one uid it never decreases.
   uint64_t version() const { return version_; }
 
-  /// Order-independent content fingerprint: a 64-bit hash of the vocabulary
-  /// shape, universe size, and the *set* of facts of every relation. Two
-  /// databases with the same content fingerprint-collide deliberately even
-  /// when their facts were inserted in different orders, so content-keyed
-  /// caches can share derived structures across database objects.
-  ///
-  /// Maintained incrementally: AddFact folds each new fact's hash into a
-  /// per-relation commutative sum as it lands, so a call costs
-  /// O(num_relations) — and O(1) when the database has not mutated since
-  /// the previous call (a version-keyed memo, safe to race from concurrent
-  /// readers). There is no O(facts) term left in a cache lookup or a
-  /// subscription tick.
-  uint64_t Fingerprint() const;
+  /// Process-unique identity (see the class comment), never reused, not
+  /// even after destruction. Every way of replacing a database's contents
+  /// mints a fresh uid: copy and move construction, copy and move
+  /// assignment, and the moved-from side of a move.
+  uint64_t uid() const { return uid_.value; }
 
   /// True if every relation of this database is a subset of `other`'s
   /// (requires equal vocabularies; element identity is literal).
@@ -130,36 +125,33 @@ class Database {
     }
   };
 
-  VocabularyPtr vocab_;
-  int num_elements_ = 0;
-  uint64_t version_ = 0;
-  std::vector<std::vector<Tuple>> facts_;
-  std::unordered_set<FactKey, FactKeyHash> fact_set_;
-  std::vector<std::string> names_;  // may be shorter than num_elements_
-  /// Per-relation wrapping sums of per-fact hashes, maintained by AddFact;
-  /// Fingerprint() folds these instead of re-hashing every fact.
-  std::vector<uint64_t> fact_hash_sums_;
-  /// Fingerprint memo, keyed by version()+1 (0 = empty). Atomics so
-  /// concurrent const readers may race benignly: both compute the same
-  /// value, and the version slot is published after the value (release /
-  /// acquire pairing in Fingerprint()). Copying transfers the memo without
-  /// making Database non-copyable.
-  struct FingerprintMemo {
-    std::atomic<uint64_t> version{0};
-    std::atomic<uint64_t> value{0};
-    FingerprintMemo() = default;
-    FingerprintMemo(const FingerprintMemo& o) { *this = o; }
-    FingerprintMemo& operator=(const FingerprintMemo& o) {
-      // Version first (acquire): observing it guarantees the matching value
-      // store is visible; a db has one valid (version, value) pair.
-      const uint64_t v = o.version.load(std::memory_order_acquire);
-      value.store(o.value.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      version.store(v, std::memory_order_release);
+  // Mints a fresh uid on construction and on every copy, move and
+  // assignment, on both sides of a move (see uid()), so Database keeps its
+  // defaulted special members.
+  struct Uid {
+    static uint64_t Next();
+    uint64_t value = Next();
+    Uid() = default;
+    Uid(const Uid&) {}
+    Uid(Uid&& other) noexcept { other.value = Next(); }
+    Uid& operator=(const Uid&) {
+      value = Next();
+      return *this;
+    }
+    Uid& operator=(Uid&& other) noexcept {
+      value = Next();
+      other.value = Next();
       return *this;
     }
   };
-  mutable FingerprintMemo fp_memo_;
+
+  VocabularyPtr vocab_;
+  int num_elements_ = 0;
+  uint64_t version_ = 0;
+  Uid uid_;
+  std::vector<std::vector<Tuple>> facts_;
+  std::unordered_set<FactKey, FactKeyHash> fact_set_;
+  std::vector<std::string> names_;  // may be shorter than num_elements_
 };
 
 /// A database with a distinguished tuple of elements: the semantic object

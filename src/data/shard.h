@@ -28,12 +28,13 @@
 // skip the cross-shard pairings entirely (a scan-path join over K shards
 // costs ~1/K of the unsharded scan).
 //
-// Cache interplay: each shard is an ordinary Database with its own
-// Fingerprint(), so per-shard IndexedDatabase views live in the existing
-// EvalCache (eval/cache.h) unmodified and survive across batches like any
-// other view. The lifetime contract is the cache's usual one: a shard must
-// outlive every view built from it (QueryService keeps its partitions
-// registered for exactly this reason — see eval/service.h).
+// Cache interplay: each shard is an ordinary Database with its own uid(),
+// so per-shard IndexedDatabase views live in the existing EvalCache
+// (eval/cache.h) unmodified and survive across batches like any other view.
+// A partition belongs to exactly one source database: QueryService keys its
+// registry by the source's uid() (eval/service.h), so two sources never
+// share shards, whatever their content. When a partition dies, its shard
+// views left in a cache age out of the LRU like any other stale view.
 
 #ifndef CQA_DATA_SHARD_H_
 #define CQA_DATA_SHARD_H_
@@ -86,14 +87,14 @@ class ShardedDatabase {
   /// the database this partition was built from, with facts only appended
   /// since. Not thread-safe against concurrent shard reads: callers
   /// serialize catch-up against evaluation (QueryService does). The shards_
-  /// vector never reallocates, so shard addresses — and the cached index
-  /// views keyed by them — stay valid across catch-ups.
+  /// vector never reallocates, so shard objects — their uids, and the
+  /// cached index views keyed by them — stay the same across catch-ups.
   void CatchUp(const Database& parent);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Shard `k` as an ordinary Database (own Fingerprint(), indexable,
-  /// cacheable). Valid for k in [0, num_shards()).
+  /// Shard `k` as an ordinary Database (own uid(), indexable, cacheable).
+  /// Valid for k in [0, num_shards()).
   const Database& shard(int k) const { return shards_[k]; }
 
   const std::vector<Database>& shards() const { return shards_; }

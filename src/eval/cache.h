@@ -1,14 +1,15 @@
 // EvalCache: the process-lifetime caching subsystem that amortizes index and
-// planning work across batches (and across content-identical databases).
+// planning work across batches.
 //
 // What is cached, and under which key
 // -----------------------------------
-//  - IndexedDatabase views, keyed by Database::Fingerprint() (an
-//    order-independent 64-bit content hash). A serving loop that evaluates
-//    batch after batch against the same database — or against different
-//    Database objects holding the same facts — builds each RelationIndex /
-//    projection / column table once for the cache's lifetime instead of once
-//    per QueryService::EvaluateBatch.
+//  - IndexedDatabase views, keyed by the source's identity
+//    (Database::uid(), data/database.h) and validated by its version(). A
+//    serving loop that evaluates batch after batch against the same
+//    database builds each RelationIndex / projection / column table once
+//    for the cache's lifetime instead of once per
+//    QueryService::EvaluateBatch. Content never enters the key: two
+//    Database objects holding equal facts get two views.
 //  - PlanDecisions, keyed by the planner-options-and-mode-qualified
 //    canonical query shape (PlanCacheKey): queries that differ only in
 //    variable numbering share one planning verdict forever, not just within
@@ -19,8 +20,8 @@
 //    shape x mode for the cache's lifetime — every later batch evaluates
 //    the cached rewrites directly.
 //
-// Eviction and invalidation
-// -------------------------
+// Eviction and catch-up
+// ---------------------
 // Both caches are LRU. The index cache is byte-budgeted
 // (EvalCacheOptions::max_index_bytes): after every acquisition the summed
 // approximate footprint of the cached views is re-polled (views grow lazily
@@ -31,16 +32,13 @@
 // entry-count-bounded (max_plan_entries) — exact decisions are a few dozen
 // bytes, approximate ones add a handful of small rewritten queries.
 //
-// Every cached view records the source Database's version() at build time.
-// When the *same* Database object is acquired again after gaining facts, the
-// cache does not rebuild: it calls IndexedDatabase::CatchUp() on the cached
-// view — appending the new facts into every cached structure, ~O(delta) —
-// re-keys the entry under the new fingerprint, and serves it as a hit
-// (counted in index_delta_appends). Rebuild-from-zero survives only for the
-// cross-database case: a content-equal twin landing on an entry whose source
-// has since diverged (version mismatch under a foreign fingerprint)
-// invalidates the entry and rebuilds (counted in index_rebuilds) — a mutated
-// database can never serve stale answers either way.
+// Every cached view records the version() it is current at. Acquiring a
+// database at that version is a hit. Acquiring it at a higher version (it
+// gained facts or elements since) calls IndexedDatabase::CatchUp() on the
+// cached view — appending the new facts into every cached structure,
+// ~O(delta) — and serves it as a hit (counted in index_delta_appends).
+// There is no rebuild path: a uid names one object for its whole life, and
+// its version never decreases.
 //
 // Ownership and thread-safety contracts
 // -------------------------------------
@@ -50,21 +48,16 @@
 //  - AcquireIndexed returns shared ownership. Evicting or invalidating an
 //    entry never tears a view out from under an in-flight job: the job's
 //    shared_ptr keeps the view alive until it finishes.
-//  - The cache does NOT own source databases, and content sharing makes
-//    their lifetime contract wider than the entry's: a view built from
-//    database A may be serving jobs submitted with a content-equal twin B
-//    (the view probes A's storage). A must therefore stay alive until
-//    every view built from it is gone — call Invalidate(A) (or Clear()),
-//    AND let in-flight jobs holding such views finish (e.g.
-//    QueryService::Drain()), before freeing A. Destroying a database the
-//    cache has seen without that sequence is undefined behavior.
+//  - The cache does NOT own source databases. A source must outlive the
+//    jobs evaluating over its views (the EvalRequest borrow contract), but
+//    may be destroyed at any time after that without telling the cache:
+//    its uid is never reused, so its entries can never be acquired again,
+//    and they age out of the LRU. A view's stats() and destructor never
+//    touch the source, so budget polling and eviction stay safe.
+//    Invalidate(db) merely frees those entries sooner.
 //  - Databases must not be mutated while an evaluation over one of their
 //    views is in flight (the same contract data/index.h states); mutating
-//    *between* batches is fine and is exactly what invalidation handles.
-//
-// Fingerprints are O(total facts) to compute, so the cache memoizes them
-// per source database against its version(): steady-state acquisitions cost
-// one O(1) map probe, not a rehash of the database.
+//    *between* batches is fine and is exactly what catch-up handles.
 
 #ifndef CQA_EVAL_CACHE_H_
 #define CQA_EVAL_CACHE_H_
@@ -101,9 +94,11 @@ struct EvalCacheStats {
   long long index_hits = 0;           ///< AcquireIndexed served from cache
   long long index_misses = 0;         ///< AcquireIndexed built a fresh view
   long long index_evictions = 0;      ///< views dropped by the byte budget
-  long long index_invalidations = 0;  ///< views dropped by version mismatch
+  long long index_invalidations = 0;  ///< views dropped by Invalidate
   long long index_delta_appends = 0;  ///< views caught up in place (O(delta))
-  long long index_rebuilds = 0;       ///< version-mismatch full rebuilds
+  /// Full rebuilds of a stale view. Identity keying leaves no path that
+  /// rebuilds, so this stays 0; the benches' zero-rebuild gates read it.
+  long long index_rebuilds = 0;
   long long index_entries = 0;        ///< current number of cached views
   long long index_bytes = 0;          ///< current approximate footprint
   long long plan_hits = 0;            ///< LookupPlan found the key
@@ -120,11 +115,9 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
-  /// The cached view of `db`'s content, building (and caching) one on miss.
-  /// `hit` (optional out) reports whether the view came from the cache.
-  /// On the rare fingerprint collision (same hash, different NumFacts or
-  /// universe size) a fresh uncached view is returned instead — never a
-  /// wrong one.
+  /// The cached view of `db`, building (and caching) one on miss and
+  /// catching it up in place when `db` grew since. `hit` (optional out)
+  /// reports whether the view came from the cache.
   std::shared_ptr<const IndexedDatabase> AcquireIndexed(const Database& db,
                                                         bool* hit = nullptr);
 
@@ -140,11 +133,9 @@ class EvalCache {
   void StorePlan(const std::vector<int>& key,
                  std::shared_ptr<const PlanDecision> plan);
 
-  /// Drops every cached view built from `db` (by identity) and its
-  /// fingerprint memo. Call before destroying a Database this cache has
-  /// seen; in-flight jobs may still hold evicted views, so also let them
-  /// finish before freeing `db`'s storage (see the file comment). Plans are
-  /// query-only and are not affected.
+  /// Drops the cached view of `db`, freeing its memory before the LRU
+  /// would. Never required for correctness (see the file comment). Plans
+  /// are query-only and are not affected.
   void Invalidate(const Database& db);
 
   /// Drops all cached views and plans; cumulative counters survive.
@@ -157,13 +148,10 @@ class EvalCache {
 
  private:
   struct IndexEntry {
-    uint64_t fingerprint = 0;
-    const Database* source = nullptr;  ///< for version validation only
-    uint64_t source_version = 0;
-    long long num_facts = 0;  ///< collision guard
-    int num_elements = 0;     ///< collision guard
-    // Non-const so the identity catch-up path can CatchUp() in place;
-    // handed out as shared_ptr<const IndexedDatabase>.
+    uint64_t uid = 0;      ///< the source's Database::uid()
+    uint64_t version = 0;  ///< the source version the view is current at
+    // Non-const so the catch-up path can CatchUp() in place; handed out as
+    // shared_ptr<const IndexedDatabase>.
     std::shared_ptr<IndexedDatabase> view;
   };
   using IndexList = std::list<IndexEntry>;  // front = most recently used
@@ -177,26 +165,11 @@ class EvalCache {
   // holds (keeping at least the MRU entry). Caller holds mu_.
   void EnforceIndexBudgetLocked();
 
-  // db.Fingerprint() memoized against db.version(). Caller holds mu_.
-  uint64_t FingerprintOfLocked(const Database& db);
-
-  // Keyed by database address; version + content counts guard against a new
-  // database reusing a freed address (callers should still Invalidate before
-  // destroying — see the file comment — but a stale memo must never survive
-  // an address reuse the guards can detect).
-  struct FingerprintMemo {
-    uint64_t version = 0;
-    uint64_t fingerprint = 0;
-    long long num_facts = 0;
-    int num_elements = 0;
-  };
-
   EvalCacheOptions options_;
 
   mutable std::mutex mu_;
   IndexList index_lru_;
-  std::unordered_map<uint64_t, IndexList::iterator> index_map_;
-  std::unordered_map<const Database*, FingerprintMemo> fp_memo_;
+  std::unordered_map<uint64_t, IndexList::iterator> index_map_;  // by uid
   PlanList plan_lru_;
   std::unordered_map<std::vector<int>, PlanList::iterator, VectorHash>
       plan_map_;

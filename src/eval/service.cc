@@ -92,9 +92,9 @@ class PlanClaimGuard {
 };
 
 // Everything one request needs to evaluate shard-by-shard: the partition
-// (shared ownership keeps it alive for the whole job even if the registry
-// supersedes it meanwhile), the per-shard index views (empty = scan), and
-// the fan-out width ShardedEvaluate may use. Null context = sharding off.
+// (shared ownership keeps it alive for the whole job), the per-shard index
+// views (empty = scan), and the fan-out width ShardedEvaluate may use. Null
+// context = sharding off.
 struct ShardContext {
   std::shared_ptr<const ShardedDatabase> shards;
   ShardViews views;
@@ -335,159 +335,38 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
 
 QueryService::QueryService(EvalOptions options) : options_(std::move(options)) {}
 
-QueryService::~QueryService() {
-  Shutdown();
-  // The shard partitions die with the service: unregister their views from
-  // any cache a caller may keep alive past us, so a later content-equal
-  // acquisition can never probe freed shard storage. (Per the cache
-  // contract, jobs of *other* services holding such views must have
-  // finished before a sharded service is destroyed.)
-  const std::vector<EvalCache*> caches = ServingCaches();
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (const ShardPartition& partition : shard_partitions_) {
-    UnregisterShardViews(partition, caches);
-  }
-}
-
-void QueryService::UnregisterShardViews(const ShardPartition& partition,
-                                        const std::vector<EvalCache*>& caches) {
-  for (EvalCache* cache : caches) {
-    for (int k = 0; k < partition.shards->num_shards(); ++k) {
-      cache->Invalidate(partition.shards->shard(k));
-    }
-  }
-}
-
-void QueryService::InvalidateShards(const Database& db) {
-  const std::vector<EvalCache*> caches = ServingCaches();
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (ShardPartition& p : shard_partitions_) {
-    if (!p.live || p.source != &db) continue;
-    p.live = false;
-    UnregisterShardViews(p, caches);
-  }
-}
-
-std::vector<EvalCache*> QueryService::ServingCaches() const {
-  std::vector<EvalCache*> caches;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.cache != nullptr) caches.push_back(options_.cache.get());
-  if (own_cache_ != nullptr) caches.push_back(own_cache_.get());
-  return caches;
-}
+QueryService::~QueryService() { Shutdown(); }
 
 std::shared_ptr<const ShardedDatabase> QueryService::AcquireShards(
     const Database& db) const {
-  const int num_shards = std::max(options_.num_shards, 1);
-  const long long num_facts = db.NumFacts();
-  const int num_elements = db.num_elements();
-  // Fast path: the same database object at the same version was partitioned
-  // before. Like the EvalCache fingerprint memo, this is an identity memo:
-  // the fact/element guards *narrow* the address-reuse hole (a freed
-  // database whose address is reused by one with equal version and counts
-  // would still match), they do not close it — callers destroying a
-  // database this service has served must call InvalidateShards first (the
-  // contract in the header), which kills the entry the memo could hit.
   {
     std::lock_guard<std::mutex> lock(shard_mu_);
-    for (const ShardPartition& p : shard_partitions_) {
-      if (p.live && p.source == &db && p.source_version == db.version() &&
-          p.num_facts == num_facts && p.num_elements == num_elements) {
-        return p.shards;
+    const auto it = shard_partitions_.find(db.uid());
+    if (it != shard_partitions_.end()) {
+      ShardPartition& partition = it->second;
+      if (partition.version != db.version()) {
+        // The database grew since: route just the new facts into their
+        // shards, O(delta) instead of the O(db) repartition. Safe because
+        // no job over `db` is in flight once it mutated (the header's
+        // contract). Cached per-shard views stay registered: CatchUp bumps
+        // each shard's own version(), so the EvalCache catches each view
+        // up on its next acquisition.
+        partition.shards->CatchUp(db);
+        partition.version = db.version();
       }
+      return partition.shards;
     }
   }
-
-  // Slow path: O(facts) fingerprint, and only on a true content miss the
-  // O(facts) partition build — both outside the lock, so concurrent
-  // batches on other databases never stall behind them. Caches are
-  // collected up front to keep the lock order one-way (shard_mu_ is never
-  // held while taking mu_).
-  const std::vector<EvalCache*> caches = ServingCaches();
-  const uint64_t fingerprint = db.Fingerprint();
-
-  // Under shard_mu_: retire partitions a mutation of `db` superseded (dead
-  // but retained — in-flight jobs elsewhere may still probe views built
-  // from them; see the header), then look for a live content match. On a
-  // match, register an identity alias for `db` unless one exists, so a
-  // content-equal twin object pays the fingerprint once and takes the
-  // O(1) fast path afterwards.
-  const auto find_or_alias_locked =
-      [&]() -> std::shared_ptr<const ShardedDatabase> {
-    for (ShardPartition& p : shard_partitions_) {
-      if (!p.live || p.source != &db || p.source_version == db.version()) {
-        continue;
-      }
-      // The source mutated. Facts-only growth is caught up in place —
-      // ShardedDatabase::CatchUp routes just the new facts, O(delta)
-      // instead of the O(db) repartition — but only when no other registry
-      // entry shares the shards: a content-equal twin (or a superseded
-      // alias) may have in-flight jobs probing them, and in-place mutation
-      // would race. (Jobs over `db` itself are excluded by the header's
-      // no-mutation-while-in-flight contract.) Cached per-shard views stay
-      // registered: CatchUp bumps each shard's own version(), so the
-      // EvalCache catches each view up on its next acquisition.
-      bool shared = false;
-      for (const ShardPartition& q : shard_partitions_) {
-        shared |= &q != &p && q.shards == p.shards;
-      }
-      if (!shared && p.num_facts <= num_facts &&
-          p.num_elements <= num_elements) {
-        p.shards->CatchUp(db);
-        p.source_version = db.version();
-        p.fingerprint = fingerprint;
-        p.num_facts = num_facts;
-        p.num_elements = num_elements;
-      } else {
-        p.live = false;
-        UnregisterShardViews(p, caches);
-      }
-    }
-    std::shared_ptr<ShardedDatabase> found;
-    bool have_identity = false;
-    for (const ShardPartition& p : shard_partitions_) {
-      if (!p.live || p.fingerprint != fingerprint ||
-          p.num_facts != num_facts || p.num_elements != num_elements) {
-        continue;
-      }
-      if (found == nullptr) found = p.shards;
-      have_identity |=
-          p.source == &db && p.source_version == db.version();
-    }
-    if (found != nullptr && !have_identity) {
-      ShardPartition alias;
-      alias.source = &db;
-      alias.source_version = db.version();
-      alias.fingerprint = fingerprint;
-      alias.num_facts = num_facts;
-      alias.num_elements = num_elements;
-      alias.shards = found;
-      shard_partitions_.push_back(std::move(alias));
-    }
-    return found;
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    if (auto existing = find_or_alias_locked()) return existing;
-  }
-
-  // True miss: build the partition, then re-check — a racing thread may
-  // have registered the same content while we built (drop ours then: no
-  // view was built from it, so dropping is safe).
-  auto built = std::make_shared<ShardedDatabase>(db, num_shards);
-
+  // Miss: the O(facts) partition build runs outside the lock, so concurrent
+  // batches on other databases never stall behind it. A racing thread may
+  // have registered `db` while we built; its partition wins (no view was
+  // built from ours, so dropping ours is safe).
+  auto built =
+      std::make_shared<ShardedDatabase>(db, std::max(options_.num_shards, 1));
   std::lock_guard<std::mutex> lock(shard_mu_);
-  if (auto raced = find_or_alias_locked()) return raced;
-  ShardPartition partition;
-  partition.source = &db;
-  partition.source_version = db.version();
-  partition.fingerprint = fingerprint;
-  partition.num_facts = num_facts;
-  partition.num_elements = num_elements;
-  partition.shards = std::move(built);
-  shard_partitions_.push_back(std::move(partition));
-  return shard_partitions_.back().shards;
+  return shard_partitions_
+      .try_emplace(db.uid(), ShardPartition{db.version(), std::move(built)})
+      .first->second.shards;
 }
 
 EvalResponse QueryService::Evaluate(const EvalRequest& request) const {
@@ -543,7 +422,7 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
   // partition and its per-shard views are built on the first request whose
   // plan passes the shard gate — a batch of only shard-unsound plans never
   // partitions anything. Per-shard views are ordinary cache views (each
-  // shard has its own fingerprint) and count into the same hit/miss stats.
+  // shard has its own uid) and count into the same hit/miss stats.
   // Fan-out width per request is the thread budget the batch itself leaves
   // unused, so a one-request batch shards across every core while a
   // saturated batch keeps its parallelism across requests. Keys are all
@@ -864,7 +743,7 @@ EvalCache* QueryService::serving_cache() const {
 
 std::shared_ptr<std::mutex> QueryService::WriteMutexFor(const Database* db) {
   std::lock_guard<std::mutex> lock(pub_mu_);
-  std::shared_ptr<std::mutex>& slot = write_mu_by_db_[db];
+  std::shared_ptr<std::mutex>& slot = write_mu_by_db_[db->uid()];
   if (slot == nullptr) slot = std::make_shared<std::mutex>();
   return slot;
 }

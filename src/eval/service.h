@@ -20,8 +20,8 @@
 // (never a wrong answer; BatchStats::shard_fallbacks counts them and
 // PlanDecision::shard_reason says why). Partitions are kept on the service
 // (see the contract below); per-shard index views are ordinary EvalCache
-// views keyed by each shard's own fingerprint, so they survive across
-// batches like any other view.
+// views keyed by each shard's own uid, so they survive across batches like
+// any other view.
 //
 // (The pre-QueryService batch vocabulary — BatchJob/BatchResult/
 // BatchOptions aliases and the deprecated BatchEvaluator forwards — was
@@ -32,8 +32,8 @@
 //  - EvalRequest borrows its Database; the caller keeps it alive until the
 //    response is returned / the Submit future is ready, and must not mutate
 //    a database while requests over it are in flight. Mutating between
-//    batches is fine — the cross-batch EvalCache (eval/cache.h) detects it
-//    via Database::version and rebuilds.
+//    batches is fine — everything derived from a database is keyed by
+//    (Database::uid, version), and a higher version is caught up in place.
 //  - QueryService::EvaluateBatch is const and reentrant; it owns its
 //    transient thread pool and per-run caches, so several batches may
 //    proceed concurrently on one service. Within a batch, one immutable
@@ -52,26 +52,20 @@
 //    identical to what a blocking EvaluateBatch of the same request would
 //    return; only completion order varies.
 //  - With num_shards >= 1 the service keeps one ShardedDatabase partition
-//    per distinct database content it has served *shard-sound plans* for
-//    (partitions are acquired lazily, only when a request actually takes
-//    the sharded path; when the source's version() shows growth the
-//    partition is caught up in place — only the new facts are routed —
-//    and re-partitioned when it shrank or the shards are shared with a
-//    content-equal twin; superseded partitions are retained until the
-//    service is destroyed so cached views can never dangle). The destructor
-//    unregisters every shard from EvalOptions::cache; when that cache is
-//    shared with other services, the cache's usual lifetime contract
-//    applies to the shards exactly as it does to caller-owned databases
-//    (eval/cache.h): let other holders' in-flight jobs finish before
-//    destroying a sharded service. A caller that destroys a Database a
-//    sharded service has served should call InvalidateShards(db) first
-//    (alongside the usual EvalCache::Invalidate), so a later allocation
-//    reusing the address can never match the registry's identity memo.
+//    per database it has served *shard-sound plans* for, keyed by
+//    Database::uid() (partitions are acquired lazily, only when a request
+//    actually takes the sharded path). When the source's version() shows
+//    growth, the partition is caught up in place — only the new facts are
+//    routed. That is the registry's only mutation. Partitions live until
+//    the service is destroyed; a destroyed database needs no purge, because
+//    its uid can never be looked up again. Per-shard views in a cache that
+//    outlives the service age out of its LRU like any stale view.
 
 #ifndef CQA_EVAL_SERVICE_H_
 #define CQA_EVAL_SERVICE_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
@@ -110,8 +104,8 @@ struct EvalOptions {
   /// the union of per-shard evaluations; plans the soundness algebra
   /// rejects fall back to the unsharded path with the reason in
   /// PlanDecision::shard_reason. Partitions are built once per database
-  /// content and kept on the service; per-shard index views go through the
-  /// same caches as every other view.
+  /// (by Database::uid()) and kept on the service; per-shard index views
+  /// go through the same caches as every other view.
   int num_shards = 0;
   /// When set, every kExact request runs on this engine instead of the
   /// planner's pick (requests the engine does not Support, and requests in
@@ -491,16 +485,6 @@ class QueryService {
   /// Thread-safe; `db` must outlive the call.
   bool Publish(Database* db, RelationId rel, Tuple fact);
 
-  /// Unregisters every shard partition built from `db` (by identity): the
-  /// partition is marked dead and its shard views are dropped from the
-  /// serving caches, exactly as the destructor does for all partitions
-  /// (in-flight jobs holding the partition finish safely; the next request
-  /// over that database re-partitions). The sharding counterpart of
-  /// EvalCache::Invalidate — call both before destroying a Database this
-  /// service has served with sharding on. No-op when the database was
-  /// never partitioned.
-  void InvalidateShards(const Database& db);
-
   /// The cache streaming requests go through: EvalOptions::cache when set,
   /// else the private cache (nullptr before the first Submit creates it).
   EvalCache* serving_cache() const;
@@ -517,52 +501,26 @@ class QueryService {
     bool degraded = false;  ///< admission control rewrote kExact -> kBounds
   };
 
-  // One cached partition of one database content (num_shards is fixed by
-  // the options). `source`/`source_version` make steady-state lookups an
-  // identity check instead of an O(facts) fingerprint. When the source
-  // grows (facts only added — the AddFact-only mutation model), the
-  // partition is caught up in place (ShardedDatabase::CatchUp routes just
-  // the new facts) — unless another partition entry shares the same shards
-  // (a content-equal twin may have in-flight jobs probing them, so in-place
-  // mutation would race); then, or when the source shrank, `live` flips to
-  // false and a fresh partition supersedes this one — the superseded shards
-  // are *retained* (not freed) because a shared EvalCache may have handed
-  // views built from them to concurrently running batches (see the file
-  // comment; they are unregistered from the caches immediately, so nothing
-  // new can acquire them).
+  // The partition of one database (num_shards is fixed by the options),
+  // current at `version` of its source.
   struct ShardPartition {
-    const Database* source = nullptr;
-    uint64_t source_version = 0;
-    uint64_t fingerprint = 0;
-    long long num_facts = 0;  ///< fingerprint-collision guard
-    int num_elements = 0;     ///< fingerprint-collision guard
+    uint64_t version = 0;
     /// Non-const so the registry can CatchUp in place; handed out to
     /// evaluation as shared_ptr<const ShardedDatabase>.
     std::shared_ptr<ShardedDatabase> shards;
-    bool live = true;
   };
 
   void WorkerLoop();
 
-  /// The partition of `db` (building and registering one if needed, or
-  /// re-partitioning after a mutation). Thread-safe; the returned pointer
-  /// keeps the shards alive for the caller's whole job.
+  /// The partition of `db`, building and registering one on first use and
+  /// catching it up in place when `db` grew since. Thread-safe; the
+  /// returned pointer keeps the shards alive for the caller's whole job.
   std::shared_ptr<const ShardedDatabase> AcquireShards(
       const Database& db) const;
 
-  /// Every serving cache currently in play (options_.cache and/or the
-  /// private streaming cache). Used to unregister shard views.
-  std::vector<EvalCache*> ServingCaches() const;
-
-  /// Drops every view built from `partition`'s shards out of `caches`. The
-  /// one retirement routine shared by the destructor, InvalidateShards,
-  /// and the mutation-supersede path in AcquireShards.
-  static void UnregisterShardViews(const ShardPartition& partition,
-                                   const std::vector<EvalCache*>& caches);
-
   /// The per-database write mutex shared by Publish and every Subscription
   /// on that database (created on first use, retained for the service's
-  /// lifetime; entries are keyed by identity, like the other registries).
+  /// lifetime; keyed by Database::uid(), like the other registries).
   std::shared_ptr<std::mutex> WriteMutexFor(const Database* db);
 
   EvalOptions options_;
@@ -583,17 +541,16 @@ class QueryService {
   long long shed_rejected_ = 0;
   long long stopped_jobs_ = 0;
 
-  // Shard-partition registry, shared by batch and streaming paths (its own
-  // lock: never held together with mu_). Grows by one entry per distinct
-  // database content served sharded, plus one per observed mutation.
+  // Shard-partition registry by Database::uid(), shared by batch and
+  // streaming paths (its own lock: never held together with mu_). Holds
+  // one entry per database served sharded, for the service's lifetime.
   mutable std::mutex shard_mu_;
-  mutable std::vector<ShardPartition> shard_partitions_;
+  mutable std::unordered_map<uint64_t, ShardPartition> shard_partitions_;
 
   // Per-database write mutexes for the subscription seam (its own lock,
   // held only for map access — never together with mu_ or shard_mu_).
   std::mutex pub_mu_;
-  std::unordered_map<const Database*, std::shared_ptr<std::mutex>>
-      write_mu_by_db_;
+  std::unordered_map<uint64_t, std::shared_ptr<std::mutex>> write_mu_by_db_;
 };
 
 }  // namespace cqa

@@ -444,31 +444,36 @@ Json CqaServer::HandlePublish(const Json& request) {
                      "unknown relation: " + std::string(rel_name));
   }
 
-  // Exclusive lock: the mutation must not overlap any evaluation or page
-  // fetch on this database (pairs with the shared locks in EVAL/FETCH).
-  std::unique_lock<std::shared_mutex> db_lock(entry->rw);
   const std::string_view args =
       std::string_view(fact).substr(open + 1, fact.size() - open - 2);
-  Tuple tuple;
+  std::vector<std::string> names;
   for (const std::string& field : Split(args, ',')) {
     const std::string_view name = Trim(field);
     if (!IsIdentifier(name)) {
       return MakeError(ErrorCode::kParseError,
                        "malformed element name: " + std::string(name));
     }
-    const auto it = entry->elements.find(std::string(name));
-    if (it != entry->elements.end()) {
-      tuple.push_back(it->second);
-    } else {
-      const Element e = entry->db->AddElement();
-      entry->db->SetElementName(e, std::string(name));
-      entry->elements.emplace(std::string(name), e);
-      tuple.push_back(e);
-    }
+    names.emplace_back(name);
   }
-  if (static_cast<int>(tuple.size()) != entry->db->vocab()->arity(*rel)) {
+  if (static_cast<int>(names.size()) != entry->db->vocab()->arity(*rel)) {
     return MakeError(ErrorCode::kParseError,
                      "arity mismatch for " + std::string(rel_name));
+  }
+
+  // Exclusive lock: the mutation must not overlap any evaluation or page
+  // fetch on this database (pairs with the shared locks in EVAL/FETCH).
+  // Unknown names become elements only now that the fact is valid: a
+  // rejected PUBLISH must not bump version(), which would invalidate every
+  // open cursor on the database.
+  std::unique_lock<std::shared_mutex> db_lock(entry->rw);
+  Tuple tuple;
+  for (std::string& name : names) {
+    const auto [it, fresh] = entry->elements.try_emplace(std::move(name), 0);
+    if (fresh) {
+      it->second = entry->db->AddElement();
+      entry->db->SetElementName(it->second, it->first);
+    }
+    tuple.push_back(it->second);
   }
   const bool inserted =
       service_->Publish(entry->db, *rel, std::move(tuple));

@@ -1,13 +1,17 @@
-// EvalCache and streaming-serving tests: database version/fingerprint
-// semantics, cross-batch index/plan reuse with the stat tiers separated,
-// LRU eviction under byte pressure (without breaking in-flight views),
-// invalidation when a database gains facts, and Submit/Drain/Shutdown
-// returning exactly the answers a blocking EvaluateBatch produces.
+// EvalCache and streaming-serving tests: database version/uid semantics,
+// views keyed by identity (content-equal and content-hash-colliding
+// databases never share one, through every calling convention), cross-batch
+// index/plan reuse with the stat tiers separated, LRU eviction under byte
+// pressure (without breaking in-flight views), catch-up when a database
+// gains facts, stale views of destroyed databases aging out, and
+// Submit/Drain/Shutdown returning exactly the answers a blocking
+// EvaluateBatch produces.
 
 #include <gtest/gtest.h>
 
 #include <future>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "base/rng.h"
@@ -46,60 +50,45 @@ TEST(DatabaseVersionTest, BumpsOnMutationsOnly) {
   EXPECT_EQ(db.version(), v2);
 }
 
-TEST(DatabaseFingerprintTest, OrderIndependentAndContentSensitive) {
-  const Database a = GraphDb(4, {{0, 1}, {1, 2}, {2, 3}});
-  const Database b = GraphDb(4, {{2, 3}, {0, 1}, {1, 2}});
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+// Every way of replacing a database's contents mints a fresh uid — on both
+// sides of a move — and a uid is never handed out twice.
+TEST(DatabaseUidTest, EveryCopyMoveAndAssignmentMintsAFreshUid) {
+  Database source = GraphDb(4, {{0, 1}, {1, 2}});
+  std::set<uint64_t> seen = {source.uid()};
+  const auto fresh = [&seen](uint64_t uid) {
+    return seen.insert(uid).second;
+  };
 
-  const Database c = GraphDb(4, {{0, 1}, {1, 2}, {3, 2}});  // one edge flipped
-  EXPECT_NE(a.Fingerprint(), c.Fingerprint());
+  const Database copy = source;  // copy construction
+  EXPECT_TRUE(fresh(copy.uid()));
+  EXPECT_TRUE(copy.SameFactsAs(source));
 
-  const Database d = GraphDb(5, {{0, 1}, {1, 2}, {2, 3}});  // extra element
-  EXPECT_NE(a.Fingerprint(), d.Fingerprint());
+  const uint64_t before_move = source.uid();
+  Database moved = std::move(source);  // move construction
+  EXPECT_TRUE(fresh(moved.uid()));
+  EXPECT_NE(source.uid(), before_move);  // the moved-from side too
+  EXPECT_TRUE(fresh(source.uid()));
 
-  Database e = GraphDb(4, {{0, 1}, {1, 2}, {2, 3}});
-  EXPECT_EQ(a.Fingerprint(), e.Fingerprint());
-  e.AddFact(0, {3, 0});
-  EXPECT_NE(a.Fingerprint(), e.Fingerprint());
+  Database assigned(Vocabulary::Graph());
+  EXPECT_TRUE(fresh(assigned.uid()));
+  assigned = copy;  // copy assignment
+  EXPECT_TRUE(fresh(assigned.uid()));
+
+  Database target(Vocabulary::Graph());
+  EXPECT_TRUE(fresh(target.uid()));
+  const uint64_t before_assign = moved.uid();
+  target = std::move(moved);  // move assignment
+  EXPECT_TRUE(fresh(target.uid()));
+  EXPECT_NE(moved.uid(), before_assign);
+  EXPECT_TRUE(fresh(moved.uid()));
+
+  // Mutation bumps the version, never the uid.
+  const uint64_t uid = target.uid();
+  target.AddFact(0, {2, 3});
+  EXPECT_EQ(target.uid(), uid);
 }
 
-// The fingerprint is maintained under AddFact (a per-relation commutative
-// sum plus a version-keyed memo) instead of re-hashed from all facts. The
-// incremental value must match a from-scratch build at every step, through
-// interleaved reads (which populate the memo) and mutations (which must
-// invalidate it), and must survive copies.
-TEST(DatabaseFingerprintTest, IncrementalMatchesFreshBuildAtEveryStep) {
-  const std::vector<std::pair<Element, Element>> edges = {
-      {0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 1}, {0, 3}};
-  Database grown(Vocabulary::Graph());
-  grown.AddElements(4);
-  for (size_t i = 0; i < edges.size(); ++i) {
-    grown.AddFact(0, {edges[i].first, edges[i].second});
-    // Read twice: the second hits the memo and must agree.
-    const uint64_t fp = grown.Fingerprint();
-    EXPECT_EQ(fp, grown.Fingerprint());
-    // A database built fresh with the same prefix computes the same value.
-    const Database fresh = GraphDb(
-        4, std::vector<std::pair<Element, Element>>(edges.begin(),
-                                                    edges.begin() + i + 1));
-    EXPECT_EQ(fp, fresh.Fingerprint()) << "after fact " << i;
-  }
-  // Duplicate facts are no-ops: no version bump, same fingerprint.
-  const uint64_t before = grown.Fingerprint();
-  EXPECT_FALSE(grown.AddFact(0, {0, 1}));
-  EXPECT_EQ(grown.Fingerprint(), before);
-  // Copies carry the memo and diverge independently afterwards.
-  Database copy = grown;
-  EXPECT_EQ(copy.Fingerprint(), before);
-  copy.AddFact(0, {1, 0});
-  EXPECT_NE(copy.Fingerprint(), before);
-  EXPECT_EQ(grown.Fingerprint(), before);
-  // Element growth (not just facts) invalidates the memo too.
-  grown.AddElements(1);
-  EXPECT_NE(grown.Fingerprint(), before);
-}
-
-TEST(EvalCacheTest, AcquireSharesViewsByContent) {
+TEST(EvalCacheTest, ContentEqualDatabasesGetDistinctViews) {
   EvalCache cache;
   const Database db1 = GraphDb(4, {{0, 1}, {1, 2}});
   const Database db2 = GraphDb(4, {{1, 2}, {0, 1}});  // same content
@@ -111,13 +100,46 @@ TEST(EvalCacheTest, AcquireSharesViewsByContent) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(view1.get(), again.get());
   const auto twin = cache.AcquireIndexed(db2, &hit);
-  EXPECT_TRUE(hit);  // content-equal twin shares the view
-  EXPECT_EQ(view1.get(), twin.get());
+  EXPECT_FALSE(hit);  // equal content is not identity
+  EXPECT_NE(view1.get(), twin.get());
+  EXPECT_EQ(&twin->db(), &db2);
 
   const EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.index_hits, 2);
-  EXPECT_EQ(stats.index_misses, 1);
-  EXPECT_EQ(stats.index_entries, 1);
+  EXPECT_EQ(stats.index_hits, 1);
+  EXPECT_EQ(stats.index_misses, 2);
+  EXPECT_EQ(stats.index_entries, 2);
+}
+
+// Two single-edge databases over 64 elements whose old content hashes
+// collided (HashVector({3, 63}) == HashVector({4, 0}), equal counts). Through
+// one shared cache, each must answer Q(x, y) :- E(x, y) with its own edge
+// only, through every calling convention, whichever was cached first.
+TEST(EvalCacheTest, CollidingDatabasesKeepTheirAnswers) {
+  const Database a = GraphDb(64, {{3, 63}});
+  const Database b = GraphDb(64, {{4, 0}});
+  const ConjunctiveQuery q = EdgeEnumerationCQ();
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.cache = std::make_shared<EvalCache>();
+  QueryService service(opts);
+  const auto expect_own_edge = [](const AnswerSet& answers,
+                                  const Tuple& edge) {
+    EXPECT_EQ(answers.size(), 1u);
+    EXPECT_TRUE(answers.Contains(edge));
+  };
+
+  expect_own_edge(service.Evaluate({q, &a}).answers, {3, 63});
+  expect_own_edge(service.Evaluate({q, &b}).answers, {4, 0});
+
+  const auto both = service.EvaluateBatch({{q, &a}, {q, &b}});
+  expect_own_edge(both[0].answers, {3, 63});
+  expect_own_edge(both[1].answers, {4, 0});
+  // A batch over b alone finds a's view cached and must not take it.
+  expect_own_edge(service.EvaluateBatch({{q, &b}})[0].answers, {4, 0});
+
+  expect_own_edge(service.Submit({q, &b}).get().answers, {4, 0});
+  expect_own_edge(service.Submit({q, &a}).get().answers, {3, 63});
+  service.Shutdown();
 }
 
 TEST(EvalCacheTest, CrossBatchStatsDistinguishTiersFromIntraBatchReuse) {
@@ -217,10 +239,10 @@ TEST(EvalCacheTest, FactInsertionCatchesUpTheCachedViewInPlace) {
   EXPECT_EQ(cold[0].answers.size(), 2u);
   const auto view_before = cache->AcquireIndexed(db);
 
-  // The database gains a fact: its version bumps and its fingerprint
-  // changes, but the entry is keyed to this same database object, so the
-  // cache appends the delta to the existing view instead of rebuilding —
-  // a single AddFact must cause zero index rebuilds (regression pin).
+  // The database gains a fact: its version bumps, but the entry is keyed
+  // by its uid, so the cache appends the delta to the existing view
+  // instead of rebuilding — a single AddFact must cause zero index
+  // rebuilds (regression pin).
   const uint64_t version_before = db.version();
   db.AddFact(0, {2, 3});
   EXPECT_GT(db.version(), version_before);
@@ -238,28 +260,70 @@ TEST(EvalCacheTest, FactInsertionCatchesUpTheCachedViewInPlace) {
   EXPECT_EQ(cache->stats().index_rebuilds, 0);
 }
 
-TEST(EvalCacheTest, MutatedSourceInvalidatesEntryForContentEqualTwin) {
-  EvalCache cache;
-  Database original = GraphDb(4, {{0, 1}, {1, 2}});
-  const Database twin = GraphDb(4, {{0, 1}, {1, 2}});  // same content
+// A copy mutated in lockstep with its source (same fact count and version
+// at every step, different content) never shares its view.
+TEST(EvalCacheTest, CopyGrownInLockstepNeverSharesAView) {
+  auto cache = std::make_shared<EvalCache>();
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.cache = cache;
+  const QueryService service(opts);
+  const ConjunctiveQuery q = EdgeEnumerationCQ();
 
-  const auto view = cache.AcquireIndexed(original);
-  (void)view;
-  // The source mutates; the cached entry (keyed by the *old* fingerprint)
-  // would now serve answers over the mutated database. The twin still
-  // fingerprints to the old key, so its lookup lands on the entry — the
-  // version check must invalidate it and rebuild from the twin.
-  original.AddFact(0, {2, 3});
+  Database live = GraphDb(6, {{0, 1}, {1, 2}});
+  Database twin = live;
+  for (int step = 0; step < 3; ++step) {
+    live.AddFact(0, {step + 2, step + 3});
+    twin.AddFact(0, {step + 3, step + 2});
+    ASSERT_EQ(live.version(), twin.version());
+    ASSERT_EQ(live.NumFacts(), twin.NumFacts());
+    const auto answers = service.EvaluateBatch({{q, &live}, {q, &twin}});
+    EXPECT_TRUE(answers[0].answers == EvaluateNaive(q, live)) << step;
+    EXPECT_TRUE(answers[1].answers == EvaluateNaive(q, twin)) << step;
+    EXPECT_NE(cache->AcquireIndexed(live).get(),
+              cache->AcquireIndexed(twin).get());
+  }
+  EXPECT_EQ(cache->stats().index_entries, 2);
+  EXPECT_EQ(cache->stats().index_rebuilds, 0);
+}
 
-  bool hit = true;
-  const auto fresh = cache.AcquireIndexed(twin, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_NE(fresh.get(), view.get());
-  EXPECT_EQ(cache.stats().index_invalidations, 1);
-  // Catch-up cannot rescue a twin (it would chase the mutated source), so
-  // this is the one remaining full-rebuild path.
-  EXPECT_EQ(cache.stats().index_rebuilds, 1);
-  EXPECT_EQ(EvaluateNaive(EdgeEnumerationCQ(), *fresh).size(), 2u);
+// Destroying a database without Invalidate leaves its view in the cache.
+// The entry can never be acquired again (uids are not reused) and must age
+// out safely: budget polling (stats) and eviction (the view's destructor)
+// never touch the freed source. Run under ASan in CI.
+TEST(EvalCacheTest, DestroyedDatabaseWithoutInvalidateAgesOut) {
+  EvalCacheOptions options;
+  options.max_index_bytes = 4096;
+  EvalCache cache(options);
+  const ConjunctiveQuery q = EdgeEnumerationCQ();
+
+  std::shared_ptr<const IndexedDatabase> survivor;
+  {
+    const Database doomed = GraphDb(8, {{0, 1}, {1, 2}, {2, 3}});
+    survivor = cache.AcquireIndexed(doomed);
+    ASSERT_NE(survivor->Index(0, MaskOfPositions({0})), nullptr);
+    EXPECT_EQ(EvaluateNaive(q, *survivor).size(), 3u);
+  }
+  survivor.reset();  // the cache now holds the only reference
+  EXPECT_EQ(cache.stats().index_entries, 1);
+
+  // Churn: fresh databases (likely at the dead one's address) are misses
+  // with their own answers; growing views force byte-budget evictions.
+  Rng rng(404);
+  for (int round = 0; round < 40; ++round) {
+    const Database db = RandomDigraphDatabase(8, 0.3, &rng);
+    bool hit = true;
+    const auto view = cache.AcquireIndexed(db, &hit);
+    EXPECT_FALSE(hit) << round;
+    view->Index(0, MaskOfPositions({0}));
+    view->Index(0, MaskOfPositions({1}));
+    EXPECT_TRUE(EvaluateNaive(q, *view) == EvaluateNaive(q, db)) << round;
+    (void)cache.stats();
+  }
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_GT(stats.index_evictions, 0);
+  EXPECT_EQ(stats.index_misses, 41);
+  EXPECT_EQ(stats.index_hits, 0);
 }
 
 TEST(EvalCacheTest, InvalidateDropsEntriesOfOneDatabase) {

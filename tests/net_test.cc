@@ -311,6 +311,66 @@ TEST_F(NetTest, PublishInvalidatesOpenCursors) {
   EXPECT_FALSE(*inserted);
 }
 
+// A rejected PUBLISH must not mutate the database: unknown element names
+// are added only once the fact is valid. Otherwise the rejection would
+// still bump version() and invalidate every open cursor on the database.
+TEST_F(NetTest, RejectedPublishLeavesVersionAndOpenCursorsAlone) {
+  StartServer();
+  const uint64_t version = db_->version();
+  const int num_elements = db_->num_elements();
+  CqaClient client = Connect();
+  CqaClient::EvalParams params;
+  params.db = "demo";
+  params.query = "Q(x, y) :- E(x, y)";
+  params.limit = 1;
+  std::optional<CqaClient::EvalResult> open = client.Eval(params);
+  ASSERT_TRUE(open.has_value());
+  ASSERT_TRUE(open->answers.more);
+
+  for (const char* bad : {"E(a, b, fresh1)", "E(fresh2, 1bad)", "E(fresh3)"}) {
+    EXPECT_FALSE(client.Publish("demo", bad).has_value()) << bad;
+    EXPECT_EQ(client.last_error().code, "parse_error") << bad;
+  }
+  std::optional<CqaClient::Page> page = client.Fetch(open->answers.cursor, 1);
+  ASSERT_TRUE(page.has_value()) << client.last_error().code;
+  EXPECT_EQ(page->rows.size(), 1u);
+
+  server_->Shutdown();  // joins the server's threads before reading db_
+  EXPECT_EQ(db_->version(), version);
+  EXPECT_EQ(db_->num_elements(), num_elements);
+}
+
+// Two registered databases whose old content hashes collided (one edge
+// each over 64 elements: HashVector({3, 63}) == HashVector({4, 0})) share
+// the server's one QueryService and its serving cache; each must answer
+// with its own edge only.
+TEST(NetIdentityTest, RegisteredDatabasesNeverShareAnswers) {
+  Database a(Vocabulary::Graph(), 64);
+  a.AddFact(0, {3, 63});
+  Database b(Vocabulary::Graph(), 64);
+  b.AddFact(0, {4, 0});
+  CqaServer server(ServerOptions{});
+  server.AddDatabase("a", &a);
+  server.AddDatabase("b", &b);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  CqaClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+
+  CqaClient::EvalParams params;
+  params.query = "Q(x, y) :- E(x, y)";
+  for (const char* name : {"a", "b", "a", "b"}) {
+    params.db = name;
+    std::optional<CqaClient::EvalResult> result = client.Eval(params);
+    ASSERT_TRUE(result.has_value()) << client.last_error().message;
+    const std::vector<std::string> edge =
+        name == std::string("a") ? std::vector<std::string>{"e3", "e63"}
+                                 : std::vector<std::string>{"e4", "e0"};
+    EXPECT_EQ(result->answers.rows, Rows{edge}) << name;
+  }
+  server.Shutdown();
+}
+
 TEST_F(NetTest, TypedProtocolErrors) {
   StartServer();
   CqaClient client = Connect();

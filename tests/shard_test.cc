@@ -11,9 +11,11 @@
 
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/rng.h"
 #include "data/generators.h"
 #include "data/shard.h"
@@ -84,17 +86,21 @@ TEST(ShardedDatabaseTest, SingleShardIsTheWholeDatabase) {
   const Database db = RandomDigraphDatabase(15, 0.3, &rng);
   const ShardedDatabase sharded(db, 1);
   EXPECT_TRUE(sharded.shard(0).SameFactsAs(db));
-  EXPECT_EQ(sharded.shard(0).Fingerprint(), db.Fingerprint());
+  EXPECT_NE(sharded.shard(0).uid(), db.uid());  // same facts, own identity
 }
 
-TEST(ShardedDatabaseTest, ShardsCarryDistinctFingerprints) {
+// Every shard is its own database: distinct uids across the shards of one
+// partition, from the source, and from another partition of the same source.
+TEST(ShardedDatabaseTest, ShardsCarryDistinctUids) {
   Rng rng(11);
   const Database db = RandomDigraphDatabase(60, 0.3, &rng);
-  const ShardedDatabase sharded(db, 4);
-  for (int a = 0; a < 4; ++a) {
-    ASSERT_GT(sharded.shard(a).NumFacts(), 0) << "shard " << a;
-    for (int b = a + 1; b < 4; ++b) {
-      EXPECT_NE(sharded.shard(a).Fingerprint(), sharded.shard(b).Fingerprint());
+  const ShardedDatabase first(db, 4);
+  const ShardedDatabase second(db, 4);
+  std::set<uint64_t> uids = {db.uid()};
+  for (const ShardedDatabase* sharded : {&first, &second}) {
+    for (int k = 0; k < 4; ++k) {
+      ASSERT_GT(sharded->shard(k).NumFacts(), 0) << "shard " << k;
+      EXPECT_TRUE(uids.insert(sharded->shard(k).uid()).second) << "shard " << k;
     }
   }
 }
@@ -568,10 +574,10 @@ TEST(ShardedServiceTest, UnsoundOnlyBatchesNeverPartition) {
   EXPECT_TRUE(results[0].answers == EvaluateNaive(ShardUnsoundPathCQ(), db));
 }
 
-// Content-equal twin objects share one partition (and its cached shard
-// views): serving the twin costs no second partition build, and every view
-// acquisition is a cache hit because the twin's shards fingerprint the same.
-TEST(ShardedServiceTest, ContentEqualTwinsShareOnePartitionAndItsViews) {
+// Content-equal databases are distinct databases: the second one gets its
+// own partition and its own shard views (all misses), and serving it again
+// hits its own views.
+TEST(ShardedServiceTest, ContentEqualDatabasesGetTheirOwnPartitionAndViews) {
   const std::vector<std::pair<int, int>> edges = {
       {0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}};
   const Database original = GraphDb(5, edges);
@@ -590,40 +596,155 @@ TEST(ShardedServiceTest, ContentEqualTwinsShareOnePartitionAndItsViews) {
   EXPECT_EQ(first.index_cache_misses, 4);
   const auto b = service.EvaluateBatch({{ShardSoundStarCQ(2), &twin}},
                                        &second);
-  // Twin shards fingerprint identically, so every acquisition hits.
-  EXPECT_EQ(second.index_cache_hits, 4);
-  EXPECT_EQ(second.index_cache_misses, 0);
+  EXPECT_EQ(second.index_cache_hits, 0);
+  EXPECT_EQ(second.index_cache_misses, 4);  // 1 plain + 3 per-shard views
   EXPECT_TRUE(a[0].answers == b[0].answers);
-  // And the twin is now aliased: serving it again stays all-hit.
   service.EvaluateBatch({{ShardSoundStarCQ(2), &twin}}, &third);
   EXPECT_EQ(third.index_cache_hits, 4);
+  EXPECT_EQ(opts.cache->stats().index_entries, 8);
 }
 
-// InvalidateShards unregisters a database's partition and its cached shard
-// views; the next sharded request re-partitions and rebuilds (the plain
-// view, untouched, still hits).
-TEST(ShardedServiceTest, InvalidateShardsDropsPartitionAndCachedViews) {
-  Rng rng(22);
-  const Database db = RandomDigraphDatabase(30, 0.3, &rng);
+// Two single-edge databases over 64 elements whose old content hashes
+// collided (HashVector({3, 63}) == HashVector({4, 0}), equal counts). With
+// sharding on, indexing off and no cache, only the shard-partition registry
+// is shared between them; each must still answer with its own edge, through
+// every calling convention.
+TEST(ShardedServiceTest, CollidingDatabasesKeepTheirAnswersWithoutACache) {
+  const Database a = GraphDb(64, {{3, 63}});
+  const Database b = GraphDb(64, {{4, 0}});
+  const ConjunctiveQuery q = EdgeEnumerationCQ();
   EvalOptions opts;
   opts.num_threads = 1;
-  opts.num_shards = 3;
-  opts.cache = std::make_shared<EvalCache>();
-  QueryService service(opts);
+  opts.num_shards = 2;
+  opts.engine.use_index = false;
+  const auto expect_own_edge = [](const EvalResponse& r, const Tuple& edge) {
+    EXPECT_TRUE(r.sharded);
+    EXPECT_EQ(r.answers.size(), 1u);
+    EXPECT_TRUE(r.answers.Contains(edge));
+  };
 
-  const std::vector<EvalRequest> jobs = {{ShardSoundStarCQ(2), &db}};
-  BatchStats cold, warm, after;
-  const auto reference = service.EvaluateBatch(jobs, &cold);
-  EXPECT_EQ(cold.index_cache_misses, 4);
-  service.EvaluateBatch(jobs, &warm);
-  EXPECT_EQ(warm.index_cache_hits, 4);
+  const QueryService evaluate(opts);
+  expect_own_edge(evaluate.Evaluate({q, &a}), {3, 63});
+  expect_own_edge(evaluate.Evaluate({q, &b}), {4, 0});
 
-  service.InvalidateShards(db);
-  const auto rebuilt = service.EvaluateBatch(jobs, &after);
-  EXPECT_EQ(after.index_cache_hits, 1);    // the plain view survives
-  EXPECT_EQ(after.index_cache_misses, 3);  // the shard views rebuilt
-  EXPECT_TRUE(rebuilt[0].sharded);
-  EXPECT_TRUE(rebuilt[0].answers == reference[0].answers);
+  const QueryService batch(opts);
+  const auto both = batch.EvaluateBatch({{q, &a}, {q, &b}});
+  expect_own_edge(both[0], {3, 63});
+  expect_own_edge(both[1], {4, 0});
+
+  QueryService submit(opts);
+  expect_own_edge(submit.Submit({q, &a}).get(), {3, 63});
+  expect_own_edge(submit.Submit({q, &b}).get(), {4, 0});
+  submit.Shutdown();
+}
+
+// A near-twin of `a`: the same universe and fact count with one fact moved.
+// Where the universe allows, the move keeps the fact's HashVector, the
+// worst case for any content-hash key; otherwise it goes to a random free
+// position.
+Database NearTwin(const Database& a, Rng* rng) {
+  const std::vector<Tuple>& facts = a.facts(0);
+  const size_t moved = rng->UniformInt(facts.size());
+  std::vector<Tuple> colliding, free;
+  for (Element u = 0; u < a.num_elements(); ++u) {
+    for (Element v = 0; v < a.num_elements(); ++v) {
+      const Tuple t = {u, v};
+      if (a.HasFact(0, t)) continue;
+      (HashVector(t) == HashVector(facts[moved]) ? colliding : free)
+          .push_back(t);
+    }
+  }
+  const std::vector<Tuple>& pool = colliding.empty() ? free : colliding;
+  const Tuple& target = pool[rng->UniformInt(pool.size())];
+  Database b(a.vocab(), a.num_elements());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    b.AddFact(0, i == moved ? target : facts[i]);
+  }
+  return b;
+}
+
+// The no-crossing property: through one long-lived service per
+// configuration (shared cache or none, indexing on or off, sharded or not),
+// random near-twin pairs answer exactly like the naive oracle on their own
+// side, via Evaluate, EvaluateBatch and Submit.
+TEST(ShardedServiceTest, NearTwinPairsNeverCrossAnswers) {
+  const std::vector<ConjunctiveQuery> queries = {
+      EdgeEnumerationCQ(), ShardSoundStarCQ(2), ShardUnsoundPathCQ()};
+  for (const int num_shards : {0, 2}) {
+    for (const bool use_index : {true, false}) {
+      for (const bool shared_cache : {true, false}) {
+        EvalOptions opts;
+        opts.num_threads = 2;
+        opts.num_shards = num_shards;
+        opts.engine.use_index = use_index;
+        if (shared_cache) opts.cache = std::make_shared<EvalCache>();
+        QueryService service(opts);
+        Rng rng(9000 + 4 * num_shards + 2 * use_index + shared_cache);
+        for (int pair = 0; pair < 6; ++pair) {
+          const Database a = RandomDigraphDatabase(64, 0.04, &rng);
+          ASSERT_GT(a.NumFacts(), 0);
+          const Database b = NearTwin(a, &rng);
+          ASSERT_EQ(a.NumFacts(), b.NumFacts());
+          ASSERT_FALSE(a.SameFactsAs(b));
+          const std::string where =
+              "shards=" + std::to_string(num_shards) +
+              " index=" + std::to_string(use_index) +
+              " cache=" + std::to_string(shared_cache) +
+              " pair=" + std::to_string(pair);
+          for (const ConjunctiveQuery& q : queries) {
+            const AnswerSet truth_a = EvaluateNaive(q, a);
+            const AnswerSet truth_b = EvaluateNaive(q, b);
+            EXPECT_TRUE(service.Evaluate({q, &a}).answers == truth_a) << where;
+            EXPECT_TRUE(service.Evaluate({q, &b}).answers == truth_b) << where;
+            const auto batch = service.EvaluateBatch({{q, &b}, {q, &a}});
+            EXPECT_TRUE(batch[0].answers == truth_b) << where;
+            EXPECT_TRUE(batch[1].answers == truth_a) << where;
+            std::future<EvalResponse> fa = service.Submit({q, &a});
+            std::future<EvalResponse> fb = service.Submit({q, &b});
+            EXPECT_TRUE(fa.get().answers == truth_a) << where;
+            EXPECT_TRUE(fb.get().answers == truth_b) << where;
+          }
+        }
+        service.Shutdown();
+      }
+    }
+  }
+}
+
+// A sharded service destroyed before the cache it shared: its per-shard
+// views stay in the cache with freed sources. Nothing can acquire them
+// again, and budget polling and eviction never touch the sources, so they
+// age out safely under churn (run under ASan in CI).
+TEST(ShardedServiceTest, ShardViewsOutliveTheirServiceAndAgeOut) {
+  EvalCacheOptions cache_options;
+  cache_options.max_index_bytes = 4096;
+  auto cache = std::make_shared<EvalCache>(cache_options);
+  Rng rng(31);
+  {
+    const Database db = RandomDigraphDatabase(30, 0.3, &rng);
+    EvalOptions opts;
+    opts.num_threads = 1;
+    opts.num_shards = 3;
+    opts.cache = cache;
+    const QueryService service(opts);
+    const EvalResponse r = service.Evaluate({ShardSoundStarCQ(2), &db});
+    EXPECT_TRUE(r.sharded);
+    EXPECT_TRUE(r.answers == EvaluateNaive(ShardSoundStarCQ(2), db));
+  }
+  EXPECT_EQ(cache->stats().index_entries, 4);
+
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.cache = cache;
+  const QueryService churn(opts);
+  for (int round = 0; round < 20; ++round) {
+    const Database db = RandomDigraphDatabase(12, 0.3, &rng);
+    const EvalResponse r = churn.Evaluate({ShardUnsoundPathCQ(), &db});
+    EXPECT_TRUE(r.answers == EvaluateNaive(ShardUnsoundPathCQ(), db));
+    (void)cache->stats();
+  }
+  EXPECT_GT(cache->stats().index_evictions, 0);
+  EXPECT_EQ(cache->stats().index_hits, 0);
 }
 
 // Mutating the database between batches: the next sharded batch must see
