@@ -77,12 +77,15 @@ std::optional<ConjunctiveQuery> ParseQuery(VocabularyPtr vocab,
     const std::string_view args =
         atom.substr(aopen + 1, atom.size() - aopen - 2);
     std::vector<int> atom_vars;
-    for (const std::string& field : Split(args, ',')) {
-      const std::string_view name = Trim(field);
-      if (!IsIdentifier(name)) {
-        return fail("malformed variable: " + std::string(name));
+    // "P()" is a nullary atom: empty arguments are zero variables.
+    if (!Trim(args).empty()) {
+      for (const std::string& field : Split(args, ',')) {
+        const std::string_view name = Trim(field);
+        if (!IsIdentifier(name)) {
+          return fail("malformed variable: " + std::string(name));
+        }
+        atom_vars.push_back(intern(name));
       }
-      atom_vars.push_back(intern(name));
     }
     if (static_cast<int>(atom_vars.size()) != vocab->arity(*rel)) {
       return fail("arity mismatch for " + std::string(rel_name));

@@ -27,7 +27,8 @@ class Vocabulary {
   Vocabulary() = default;
 
   /// Adds a relation symbol. `name` must be a fresh identifier and `arity`
-  /// must be positive. Returns its dense id.
+  /// non-negative (0 = a nullary, propositional symbol). Returns its dense
+  /// id.
   RelationId AddRelation(std::string name, int arity);
 
   /// Returns the id of `name`, or nullopt if absent.

@@ -55,23 +55,72 @@ void EvalCache::EnforceIndexBudgetLocked() {
   stats_.index_entries = static_cast<long long>(index_lru_.size());
 }
 
-std::shared_ptr<const PlanDecision> EvalCache::LookupPlan(
+std::shared_ptr<const PlanDecision> EvalCache::FindPlanLocked(
     const std::vector<int>& key) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = plan_map_.find(key);
-  if (it == plan_map_.end()) {
-    ++stats_.plan_misses;
-    return nullptr;
-  }
+  if (it == plan_map_.end()) return nullptr;
   ++stats_.plan_hits;
   plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
   return plan_lru_.front().plan;
+}
+
+std::shared_ptr<const PlanDecision> EvalCache::LookupPlan(
+    const std::vector<int>& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const PlanDecision> plan = FindPlanLocked(key);
+  if (plan == nullptr) ++stats_.plan_misses;
+  return plan;
+}
+
+std::shared_ptr<const PlanDecision> EvalCache::AcquirePlan(
+    const std::vector<int>& key, const std::function<PlanDecision()>& plan,
+    bool* hit) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (std::shared_ptr<const PlanDecision> found = FindPlanLocked(key)) {
+        if (hit != nullptr) *hit = true;
+        return found;
+      }
+      if (plans_in_flight_.insert(key).second) break;  // claimed: plan it
+      plan_cv_.wait(lock, [&] { return plans_in_flight_.count(key) == 0; });
+    }
+    ++stats_.plan_misses;
+  }
+  if (hit != nullptr) *hit = false;
+  // Planning (possibly Bell-number rewrite synthesis) runs outside the
+  // lock. The claim is released whether it succeeds or throws, so waiters
+  // never block on a key nobody is planning.
+  std::shared_ptr<const PlanDecision> decision;
+  try {
+    decision = std::make_shared<const PlanDecision>(plan());
+  } catch (...) {
+    ReleasePlanClaim(key, nullptr);
+    throw;
+  }
+  ReleasePlanClaim(key, decision);
+  return decision;
+}
+
+void EvalCache::ReleasePlanClaim(const std::vector<int>& key,
+                                 std::shared_ptr<const PlanDecision> decision) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (decision != nullptr) StorePlanLocked(key, std::move(decision));
+    plans_in_flight_.erase(key);
+  }
+  plan_cv_.notify_all();
 }
 
 void EvalCache::StorePlan(const std::vector<int>& key,
                           std::shared_ptr<const PlanDecision> plan) {
   CQA_CHECK(plan != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
+  StorePlanLocked(key, std::move(plan));
+}
+
+void EvalCache::StorePlanLocked(const std::vector<int>& key,
+                                std::shared_ptr<const PlanDecision> plan) {
   const auto it = plan_map_.find(key);
   if (it != plan_map_.end()) {
     plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);

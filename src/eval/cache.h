@@ -18,7 +18,9 @@
 //    synthesized TW(width_budget) rewrites (PlanDecision::under/over), so
 //    the Bell-number candidate enumeration behind them runs once per query
 //    shape x mode for the cache's lifetime — every later batch evaluates
-//    the cached rewrites directly.
+//    the cached rewrites directly. AcquirePlan coalesces concurrent misses
+//    on one key: the first caller plans, the others wait for its decision,
+//    so a cold burst of one shape runs synthesis once, not once per thread.
 //
 // Eviction and catch-up
 // ---------------------
@@ -62,11 +64,14 @@
 #ifndef CQA_EVAL_CACHE_H_
 #define CQA_EVAL_CACHE_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/hash.h"
@@ -101,8 +106,8 @@ struct EvalCacheStats {
   long long index_rebuilds = 0;
   long long index_entries = 0;        ///< current number of cached views
   long long index_bytes = 0;          ///< current approximate footprint
-  long long plan_hits = 0;            ///< LookupPlan found the key
-  long long plan_misses = 0;          ///< LookupPlan missed
+  long long plan_hits = 0;            ///< plan lookups served from the cache
+  long long plan_misses = 0;          ///< plan lookups that found no entry
   long long plan_evictions = 0;       ///< plans dropped by max_plan_entries
   long long plan_entries = 0;         ///< current number of cached plans
 };
@@ -126,6 +131,17 @@ class EvalCache {
   /// pointer under the lock, never a deep copy), refreshing its LRU
   /// position; nullptr on miss. Keys come from PlanCacheKey (engine.h).
   std::shared_ptr<const PlanDecision> LookupPlan(const std::vector<int>& key);
+
+  /// The decision for `key`, running `plan` and storing its result on a
+  /// miss. Concurrent misses on one key are coalesced: the first caller
+  /// claims the key and plans, later callers wait for its decision and
+  /// count as hits. If `plan` throws, the claim is released and the
+  /// exception propagates; waiters wake and one of them claims the key
+  /// anew. `hit` (optional out) reports whether the decision was served
+  /// from the cache rather than planned by this call.
+  std::shared_ptr<const PlanDecision> AcquirePlan(
+      const std::vector<int>& key, const std::function<PlanDecision()>& plan,
+      bool* hit = nullptr);
 
   /// Inserts (or refreshes) `key -> plan`, evicting LRU entries beyond
   /// max_plan_entries. The cache shares ownership; the decision must not
@@ -161,6 +177,18 @@ class EvalCache {
   };
   using PlanList = std::list<PlanEntry>;  // front = most recently used
 
+  // The cached decision for `key`, counted as a hit and moved to the LRU
+  // front; nullptr (not counted) on miss. Caller holds mu_.
+  std::shared_ptr<const PlanDecision> FindPlanLocked(
+      const std::vector<int>& key);
+  // StorePlan's body; caller holds mu_.
+  void StorePlanLocked(const std::vector<int>& key,
+                       std::shared_ptr<const PlanDecision> plan);
+  // Ends an AcquirePlan claim on `key`, storing `decision` unless planning
+  // failed (null), and wakes the callers waiting on it.
+  void ReleasePlanClaim(const std::vector<int>& key,
+                        std::shared_ptr<const PlanDecision> decision);
+
   // Re-polls view footprints and evicts LRU views until the byte budget
   // holds (keeping at least the MRU entry). Caller holds mu_.
   void EnforceIndexBudgetLocked();
@@ -173,6 +201,10 @@ class EvalCache {
   PlanList plan_lru_;
   std::unordered_map<std::vector<int>, PlanList::iterator, VectorHash>
       plan_map_;
+  /// Keys some AcquirePlan caller is planning right now; plan_cv_ wakes
+  /// the callers waiting on one of them.
+  std::unordered_set<std::vector<int>, VectorHash> plans_in_flight_;
+  std::condition_variable plan_cv_;
   mutable EvalCacheStats stats_;
 };
 

@@ -250,8 +250,7 @@ std::vector<int> PlanCacheKey(const ConjunctiveQuery& q,
 /// Where a request's plan came from.
 enum class PlanSource {
   kPlanned,      ///< the planner ran for this request
-  kBatchCache,   ///< reused a decision made earlier in the same batch
-  kSharedCache,  ///< reused a decision from the cross-batch EvalCache
+  kSharedCache,  ///< reused a decision from the EvalCache plan tier
 };
 
 }  // namespace cqa

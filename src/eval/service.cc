@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "base/check.h"
-#include "base/hash.h"
 #include "data/index.h"
 #include "data/shard.h"
 #include "eval/cache.h"
@@ -17,6 +14,19 @@
 #include "eval/shard_eval.h"
 
 namespace cqa {
+
+// One stateless instance of every engine, shared by all of a service's jobs.
+struct EngineSet {
+  EngineSet()
+      : engines{MakeEngine(EngineKind::kNaive),
+                MakeEngine(EngineKind::kYannakakis),
+                MakeEngine(EngineKind::kTreewidth)} {}
+  const Engine& For(EngineKind kind) const {
+    return *engines[static_cast<int>(kind)];
+  }
+  std::unique_ptr<Engine> engines[3];
+};
+
 namespace {
 
 double MsSince(const std::chrono::steady_clock::time_point& start) {
@@ -31,66 +41,6 @@ int ResolveThreadCount(int requested) {
   return hw > 0 ? hw : 1;
 }
 
-// One stateless instance of every engine; safe to share across threads.
-struct EngineSet {
-  EngineSet()
-      : engines{MakeEngine(EngineKind::kNaive),
-                MakeEngine(EngineKind::kYannakakis),
-                MakeEngine(EngineKind::kTreewidth)} {}
-  const Engine& For(EngineKind kind) const {
-    return *engines[static_cast<int>(kind)];
-  }
-  std::unique_ptr<Engine> engines[3];
-};
-
-// The per-batch plan cache (intra-batch tier). Decisions are stored by
-// shared pointer: approximate decisions carry whole synthesized rewrites,
-// so the lock only ever guards pointer copies — the deep copy into a
-// response happens outside it. Planning is coalesced per key: the first
-// worker to miss claims the key (in_flight) and the others wait on cv
-// instead of duplicating the work — approximate-mode planning runs the
-// Bell-number rewrite synthesis, exactly the cost a cold batch of
-// same-shape requests would otherwise multiply by the thread count.
-// (Streaming submissions have no batch tier; after the first completion
-// the shared EvalCache covers them.)
-struct BatchPlanCache {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unordered_map<std::vector<int>, std::shared_ptr<const PlanDecision>,
-                     VectorHash>
-      map;
-  std::unordered_set<std::vector<int>, VectorHash> in_flight;
-};
-
-// Releases a claimed in-flight key — publishing the decision when planning
-// succeeded, but also on an exception (e.g. bad_alloc inside rewrite
-// synthesis), so same-shape waiters wake and retry instead of blocking on
-// the cv forever.
-class PlanClaimGuard {
- public:
-  PlanClaimGuard(BatchPlanCache* cache, const std::vector<int>& key)
-      : cache_(cache), key_(key) {}
-  PlanClaimGuard(const PlanClaimGuard&) = delete;
-  PlanClaimGuard& operator=(const PlanClaimGuard&) = delete;
-
-  void set_decision(std::shared_ptr<const PlanDecision> decision) {
-    decision_ = std::move(decision);
-  }
-
-  ~PlanClaimGuard() {
-    if (cache_ == nullptr) return;
-    std::lock_guard<std::mutex> lock(cache_->mu);
-    if (decision_ != nullptr) cache_->map.emplace(key_, std::move(decision_));
-    cache_->in_flight.erase(key_);
-    cache_->cv.notify_all();
-  }
-
- private:
-  BatchPlanCache* cache_;
-  const std::vector<int>& key_;
-  std::shared_ptr<const PlanDecision> decision_;
-};
-
 // Everything one request needs to evaluate shard-by-shard: the partition
 // (shared ownership keeps it alive for the whole job), the per-shard index
 // views (empty = scan), and the fan-out width ShardedEvaluate may use. Null
@@ -100,12 +50,6 @@ struct ShardContext {
   ShardViews views;
   int parallelism = 1;
 };
-
-// How ExecuteRequest reaches the sharded path: a lazy provider, invoked
-// only once a plan actually passed the shard gate, so databases that only
-// ever see shard-unsound plans are never partitioned and never grow
-// per-shard views. Null = sharding off.
-using ShardContextProvider = std::function<const ShardContext*()>;
 
 // `shard_ctx` non-null routes the sub-evaluation through the per-shard
 // union; the caller only passes it for shard-sound plans.
@@ -173,100 +117,38 @@ AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
   return result;
 }
 
-// Plans and evaluates one request into `out`. Plan lookups go per-batch
-// cache first (intra-batch reuse), then the shared EvalCache (cross-batch
-// hit), then the planner; either cache pointer may be null. `idb` null
-// means the scan path; `shard_ctx` non-null offers the sharded path, taken
-// exactly when the plan is shard-sound. Approximate plans are answered by
-// their rewrites (union for the under side, intersection for the over
-// side), each rewrite itself sharded when the gate passed (the planner only
-// marks an approximate plan shard-sound when every rewrite is).
-void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
-                    const EngineSet& engines, const IndexedDatabase* idb,
-                    BatchPlanCache* batch_cache, EvalCache* shared_cache,
-                    const ShardContextProvider* acquire_shards,
-                    const EvalContext* ctx, EvalResponse* out) {
-  out->mode = request.mode;
-  const int out_arity = static_cast<int>(request.query.free_variables().size());
-  // A request that arrives already stopped (expired deadline — possibly
-  // spent queueing — a raised cancel flag, or a zero budget) returns
-  // immediately: empty answers are the canonical sound under-approximation,
-  // and planning is skipped too.
-  if (ctx != nullptr && ctx->Interrupted()) {
-    out->status = ctx->status();
-    out->exact = false;
-    out->answers = AnswerSet(out_arity);
-    if (request.mode == AnswerMode::kBounds) {
-      AnswerBounds bounds;
-      bounds.under = AnswerSet(out_arity);
-      bounds.over = AnswerSet(out_arity);
-      bounds.over_valid = false;
-      out->bounds = std::move(bounds);
-    }
-    out->plan.reason = std::string("not planned: request already stopped (") +
-                       ResponseStatusName(out->status) + ")";
-    return;
+// The response of a request that arrives already stopped (expired deadline
+// — possibly spent queueing — a raised cancel flag, or a zero budget):
+// empty answers are the canonical sound under-approximation, and planning
+// is skipped too.
+void StoppedBeforePlanning(const EvalRequest& request, const EvalContext& ctx,
+                           EvalResponse* out) {
+  const int arity = static_cast<int>(request.query.free_variables().size());
+  out->status = ctx.status();
+  out->exact = false;
+  out->answers = AnswerSet(arity);
+  if (request.mode == AnswerMode::kBounds) {
+    AnswerBounds bounds;
+    bounds.under = AnswerSet(arity);
+    bounds.over = AnswerSet(arity);
+    bounds.over_valid = false;
+    out->bounds = std::move(bounds);
   }
-  const auto plan_start = std::chrono::steady_clock::now();
-  // Forcing an engine is an exact-mode affair: it bypasses the planner and
-  // with it the approximation rule, so approximate-mode requests always go
-  // through planning. The shard gate still applies (it is a property of the
-  // query shape, not of the engine choice).
-  if (request.mode == AnswerMode::kExact && options.forced_engine.has_value() &&
-      engines.For(*options.forced_engine).Supports(request.query)) {
-    out->plan.kind = *options.forced_engine;
-    out->plan.reason = "forced by EvalOptions";
-    out->plan.shard_sound =
-        IsShardSound(request.query, &out->plan.shard_reason);
-  } else {
-    const std::vector<int> key =
-        PlanCacheKey(request.query, options.planner, request.mode);
-    std::shared_ptr<const PlanDecision> cached;
-    if (batch_cache != nullptr) {
-      std::unique_lock<std::mutex> lock(batch_cache->mu);
-      for (;;) {
-        const auto it = batch_cache->map.find(key);
-        if (it != batch_cache->map.end()) {
-          cached = it->second;
-          break;
-        }
-        // First worker to miss claims the key and plans; later workers of
-        // the same shape wait for its decision instead of repeating the
-        // (possibly synthesis-heavy) planning.
-        if (batch_cache->in_flight.insert(key).second) break;
-        batch_cache->cv.wait(lock);
-      }
-    }
-    if (cached != nullptr) {
-      out->plan_source = PlanSource::kBatchCache;
-      out->plan = *cached;  // deep copy outside every lock
-    } else {
-      PlanClaimGuard claim(batch_cache, key);
-      if (shared_cache != nullptr &&
-          (cached = shared_cache->LookupPlan(key)) != nullptr) {
-        out->plan_source = PlanSource::kSharedCache;
-        out->plan = *cached;
-      } else {
-        out->plan = PlanQuery(request.query, options.planner, request.mode);
-        out->plan_source = PlanSource::kPlanned;
-        cached = std::make_shared<const PlanDecision>(out->plan);
-        if (shared_cache != nullptr) shared_cache->StorePlan(key, cached);
-      }
-      claim.set_decision(cached);
-    }
-  }
-  out->engine = out->plan.kind;
-  out->plan_ms = MsSince(plan_start);
+  out->plan.reason = std::string("not planned: request already stopped (") +
+                     ResponseStatusName(out->status) + ")";
+}
 
+// Evaluates a planned request into `out`. `idb` null means the scan path;
+// `shard` non-null takes the sharded path (the caller passes it only for
+// shard-sound plans). Approximate plans are answered by their rewrites
+// (union for the under side, intersection for the over side), each rewrite
+// itself sharded when the gate passed (the planner only marks an
+// approximate plan shard-sound when every rewrite is).
+void EvaluatePlanned(const EvalRequest& request, const EngineSet& engines,
+                     const ShardContext* shard, const IndexedDatabase* idb,
+                     const EvalContext* ctx, EvalResponse* out) {
   const auto eval_start = std::chrono::steady_clock::now();
   const Database& db = *request.db;
-  // The shard gate: sharding was requested AND the plan passed the
-  // union-soundness algebra — only then is the partition (lazily) acquired.
-  // Unsound plans run the unsharded path below unchanged (the fallback the
-  // planner's shard_reason explains).
-  const ShardContext* shard =
-      acquire_shards != nullptr && out->plan.shard_sound ? (*acquire_shards)()
-                                                         : nullptr;
   out->sharded = shard != nullptr;
   if (!out->plan.approximate) {
     // Exact evaluation serves every mode; in kBounds the sandwich collapses.
@@ -331,9 +213,72 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
   }
 }
 
+// The request's interruption token: service-wide defaults overridden field
+// by field by the request's own limits, deadline armed now. No limits, no
+// token, no overhead.
+std::shared_ptr<const EvalContext> ArmContext(const EvalLimits& defaults,
+                                              const EvalRequest& request) {
+  const EvalLimits limits = EvalLimits::Merge(defaults, request.limits);
+  if (!limits.any() && request.cancel == nullptr) return nullptr;
+  return std::make_shared<const EvalContext>(limits, request.cancel);
+}
+
 }  // namespace
 
-QueryService::QueryService(EvalOptions options) : options_(std::move(options)) {}
+// The requests of one batch plus one lazy slot per distinct database. A
+// slot's plain view is acquired by the first job over that database, and its
+// shard context by the first job whose plan passes the shard gate, so a
+// batch of only shard-unsound plans never partitions anything. All keys are
+// inserted up front: jobs only ever find their slot, never rehash the map.
+struct QueryService::Batch {
+  struct DbSlot {
+    std::mutex mu;
+    std::shared_ptr<const IndexedDatabase> view;  ///< null until acquired
+    ShardContext shard;                           ///< shards null until built
+  };
+
+  // Borrows the caller's requests: EvaluateBatch waits for every job.
+  Batch(const std::vector<EvalRequest>& batch_requests, int parallelism)
+      : requests(&batch_requests), shard_parallelism(parallelism) {
+    AddSlots();
+  }
+  // Owns its one request: a Submit caller does not wait for the job.
+  explicit Batch(EvalRequest request)
+      : requests(&owned), shard_parallelism(1) {
+    owned.push_back(std::move(request));
+    AddSlots();
+  }
+
+  void AddSlots() {
+    for (const EvalRequest& request : *requests) {
+      CQA_CHECK(request.db != nullptr);
+      slots.try_emplace(request.db);
+    }
+  }
+
+  std::vector<EvalRequest> owned;
+  const std::vector<EvalRequest>* requests;
+  /// ShardedEvaluate's fan-out width: the thread budget the batch itself
+  /// leaves unused, so a one-request batch shards across every core while a
+  /// saturated batch keeps its parallelism across requests. Streamed
+  /// requests already run concurrently with each other: 1.
+  int shard_parallelism;
+  std::unordered_map<const Database*, DbSlot> slots;
+  /// Views acquired for this batch from the serving cache (one plain view
+  /// per distinct database, plus the per-shard views of sharded slots).
+  std::atomic<long long> view_hits{0}, view_misses{0};
+};
+
+QueryService::QueryService(EvalOptions options)
+    : options_(std::move(options)),
+      cache_(options_.cache),
+      engines_(std::make_unique<const EngineSet>()) {
+  if (cache_ == nullptr) {
+    EvalCacheOptions cache_options;
+    cache_options.index = options_.engine.ToIndexOptions();
+    cache_ = std::make_shared<EvalCache>(cache_options);
+  }
+}
 
 QueryService::~QueryService() { Shutdown(); }
 
@@ -369,6 +314,89 @@ std::shared_ptr<const ShardedDatabase> QueryService::AcquireShards(
       .first->second.shards;
 }
 
+std::shared_ptr<const IndexedDatabase> QueryService::AcquireView(
+    Batch& batch, const Database& db) const {
+  bool hit = false;
+  std::shared_ptr<const IndexedDatabase> view =
+      cache_->AcquireIndexed(db, &hit);
+  ++(hit ? batch.view_hits : batch.view_misses);
+  return view;
+}
+
+std::shared_ptr<const PlanDecision> QueryService::Plan(
+    const ConjunctiveQuery& query, AnswerMode mode, bool* hit) const {
+  return cache_->AcquirePlan(
+      PlanCacheKey(query, options_.planner, mode),
+      [&] { return PlanQuery(query, options_.planner, mode); }, hit);
+}
+
+EvalResponse QueryService::RunJob(Batch& batch, size_t index,
+                                  std::shared_ptr<const EvalContext> ctx) const {
+  const EvalRequest& request = (*batch.requests)[index];
+  Batch::DbSlot& slot = batch.slots.at(request.db);
+  // Batch jobs arm their deadline here, when they start; a Submit armed it
+  // at submit time, so queue wait counts.
+  if (ctx == nullptr) ctx = ArmContext(options_.limits, request);
+
+  // The plain view is acquired even when sharding is on: shard-unsound
+  // plans fall back to it. The slot's shared_ptr keeps it alive for the
+  // whole batch even if the cache evicts it meanwhile.
+  const IndexedDatabase* idb = nullptr;
+  if (options_.engine.use_index) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (slot.view == nullptr) slot.view = AcquireView(batch, *request.db);
+    idb = slot.view.get();
+  }
+
+  EvalResponse out;
+  out.mode = request.mode;
+  if (ctx != nullptr && ctx->Interrupted()) {
+    StoppedBeforePlanning(request, *ctx, &out);
+    return out;
+  }
+
+  const auto plan_start = std::chrono::steady_clock::now();
+  // Forcing an engine is an exact-mode affair: it bypasses the planner and
+  // with it the approximation rule, so approximate-mode requests always go
+  // through planning. The shard gate still applies (it is a property of the
+  // query shape, not of the engine choice).
+  if (request.mode == AnswerMode::kExact &&
+      options_.forced_engine.has_value() &&
+      engines_->For(*options_.forced_engine).Supports(request.query)) {
+    out.plan.kind = *options_.forced_engine;
+    out.plan.reason = "forced by EvalOptions";
+    out.plan.shard_sound = IsShardSound(request.query, &out.plan.shard_reason);
+  } else {
+    bool hit = false;
+    out.plan = *Plan(request.query, request.mode, &hit);  // deep copy, unlocked
+    out.plan_source = hit ? PlanSource::kSharedCache : PlanSource::kPlanned;
+  }
+  out.engine = out.plan.kind;
+  out.plan_ms = MsSince(plan_start);
+
+  // The shard gate: sharding was requested AND the plan passed the
+  // union-soundness algebra — only then is the partition (lazily) acquired.
+  // Unsound plans run the unsharded path unchanged (the fallback the
+  // planner's shard_reason explains).
+  const ShardContext* shard = nullptr;
+  if (options_.num_shards >= 1 && out.plan.shard_sound) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (slot.shard.shards == nullptr) {
+      slot.shard.shards = AcquireShards(*request.db);
+      slot.shard.parallelism = batch.shard_parallelism;
+      if (options_.engine.use_index) {
+        for (int k = 0; k < slot.shard.shards->num_shards(); ++k) {
+          slot.shard.views.push_back(
+              AcquireView(batch, slot.shard.shards->shard(k)));
+        }
+      }
+    }
+    shard = &slot.shard;
+  }
+  EvaluatePlanned(request, *engines_, shard, idb, ctx.get(), &out);
+  return out;
+}
+
 EvalResponse QueryService::Evaluate(const EvalRequest& request) const {
   std::vector<EvalRequest> one;
   one.push_back(request);
@@ -376,166 +404,70 @@ EvalResponse QueryService::Evaluate(const EvalRequest& request) const {
   return std::move(responses.front());
 }
 
+void QueryService::StartPoolLocked() const {
+  if (!workers_.empty()) return;
+  const int threads = ResolveThreadCount(options_.num_threads);
+  workers_.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers_.emplace_back(&QueryService::WorkerLoop, this);
+  }
+}
+
 std::vector<EvalResponse> QueryService::EvaluateBatch(
     const std::vector<EvalRequest>& requests, BatchStats* stats) const {
   const auto run_start = std::chrono::steady_clock::now();
+  const int pool_threads = ResolveThreadCount(options_.num_threads);
+  const int threads = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(pool_threads), requests.size()));
+  auto batch = std::make_shared<Batch>(
+      requests, std::max(1, pool_threads / std::max(threads, 1)));
 
+  // Submit-all onto the shared pool, unless the batch is a single request,
+  // the pool a single thread, or the service shut down: those run inline on
+  // the caller. Batch jobs skip admission control.
+  std::vector<std::future<EvalResponse>> futures;
+  if (threads > 1) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stopping_) {
+      StartPoolLocked();
+      futures.reserve(requests.size());
+      for (size_t i = 0; i < requests.size(); ++i) {
+        Job job;
+        job.batch = batch;
+        job.index = i;
+        futures.push_back(job.promise.get_future());
+        queue_.push_back(std::move(job));
+      }
+      in_flight_ += static_cast<long long>(requests.size());
+      work_cv_.notify_all();
+    }
+  }
+
+  // In-order gather. Every job finishes before any result is read (the
+  // jobs borrow `requests`); then the lowest-index failure, if any, is
+  // rethrown, so the error a caller sees does not depend on scheduling.
   std::vector<EvalResponse> responses(requests.size());
-  const EngineSet engines;
-  EvalCache* const shared_cache = options_.cache.get();
-
-  const int hw_threads = ResolveThreadCount(options_.num_threads);
-  int threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(hw_threads), requests.size()));
-
-  // One immutable index view per distinct database, shared by all worker
-  // threads: structures are built once (under the view's lock) and probed
-  // concurrently afterwards. With a shared EvalCache the views come from —
-  // and outlive the batch in — the cache; the shared_ptr keeps a view
-  // usable even if the cache evicts it mid-batch. The plain (unsharded)
-  // view is acquired even when sharding is on: shard-unsound plans fall
-  // back to it.
-  std::unordered_map<const Database*, std::shared_ptr<const IndexedDatabase>>
-      views;
-  // Atomics: the plain views are acquired sequentially below, but per-shard
-  // views are acquired lazily from inside worker threads.
-  std::atomic<long long> view_hits{0}, view_misses{0};
-  const auto acquire_view = [&](const Database& db) {
-    if (shared_cache != nullptr) {
-      bool hit = false;
-      auto view = shared_cache->AcquireIndexed(db, &hit);
-      ++(hit ? view_hits : view_misses);
-      return view;
+  if (futures.empty()) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      responses[i] = RunJob(*batch, i, nullptr);
     }
-    return std::make_shared<const IndexedDatabase>(
-        db, options_.engine.ToIndexOptions());
-  };
-  if (options_.engine.use_index) {
-    for (const EvalRequest& request : requests) {
-      CQA_CHECK(request.db != nullptr);
-      auto& slot = views[request.db];
-      if (slot == nullptr) slot = acquire_view(*request.db);
-    }
-  }
-
-  // Sharded path setup: one *lazy* slot per distinct database. The
-  // partition and its per-shard views are built on the first request whose
-  // plan passes the shard gate — a batch of only shard-unsound plans never
-  // partitions anything. Per-shard views are ordinary cache views (each
-  // shard has its own uid) and count into the same hit/miss stats.
-  // Fan-out width per request is the thread budget the batch itself leaves
-  // unused, so a one-request batch shards across every core while a
-  // saturated batch keeps its parallelism across requests. Keys are all
-  // inserted up front: worker threads only ever find their node, never
-  // rehash the map.
-  struct LazyShardSlot {
-    std::mutex mu;
-    bool built = false;
-    ShardContext ctx;
-  };
-  std::unordered_map<const Database*, LazyShardSlot> shard_slots;
-  const bool sharding = options_.num_shards >= 1;
-  const int shard_parallelism = std::max(1, hw_threads / std::max(threads, 1));
-  if (sharding) {
-    for (const EvalRequest& request : requests) {
-      CQA_CHECK(request.db != nullptr);
-      shard_slots.try_emplace(request.db);
-    }
-  }
-  const auto build_shard_ctx = [&](const Database& db, ShardContext* ctx) {
-    ctx->shards = AcquireShards(db);
-    ctx->parallelism = shard_parallelism;
-    if (options_.engine.use_index) {
-      ctx->views.reserve(ctx->shards->num_shards());
-      for (int k = 0; k < ctx->shards->num_shards(); ++k) {
-        ctx->views.push_back(acquire_view(ctx->shards->shard(k)));
-      }
-    }
-  };
-
-  // Intra-batch plan tier; shapes already decided by the shared cache are
-  // copied in on first touch so later requests count as intra-batch reuses.
-  BatchPlanCache batch_plans;
-
-  const auto run_request = [&](size_t i) {
-    const EvalRequest& request = requests[i];
-    CQA_CHECK(request.db != nullptr);
-    const IndexedDatabase* idb =
-        options_.engine.use_index ? views.at(request.db).get() : nullptr;
-    const ShardContextProvider acquire = [&, db = request.db]() {
-      LazyShardSlot& slot = shard_slots.at(db);
-      std::lock_guard<std::mutex> lock(slot.mu);
-      if (!slot.built) {
-        build_shard_ctx(*db, &slot.ctx);
-        slot.built = true;
-      }
-      return static_cast<const ShardContext*>(&slot.ctx);
-    };
-    // One interruption token per request (deadline armed here, when the
-    // request actually starts): service-wide defaults overridden field by
-    // field by the request's own limits. No limits, no token, no overhead.
-    const EvalLimits limits =
-        EvalLimits::Merge(options_.limits, request.limits);
-    std::optional<EvalContext> ectx;
-    if (limits.any() || request.cancel != nullptr) {
-      ectx.emplace(limits, request.cancel);
-    }
-    ExecuteRequest(request, options_, engines, idb, &batch_plans, shared_cache,
-                   sharding ? &acquire : nullptr,
-                   ectx.has_value() ? &*ectx : nullptr, &responses[i]);
-  };
-
-  if (threads <= 1) {
-    for (size_t i = 0; i < requests.size(); ++i) run_request(i);
   } else {
-    // Work-stealing by atomic index: deterministic output because every
-    // request writes only responses[i] and evaluation itself is
-    // deterministic. A throw (e.g. bad_alloc inside rewrite synthesis)
-    // must not escape a std::thread — the first one is captured, the pool
-    // winds down, and it is rethrown to the caller after the join.
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < requests.size();
-             i = next.fetch_add(1)) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          try {
-            run_request(i);
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (first_error == nullptr) {
-                first_error = std::current_exception();
-              }
-            }
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    if (first_error != nullptr) std::rethrow_exception(first_error);
+    for (const std::future<EvalResponse>& f : futures) f.wait();
+    for (size_t i = 0; i < futures.size(); ++i) responses[i] = futures[i].get();
   }
 
   if (stats != nullptr) {
     *stats = BatchStats{};
     stats->wall_ms = MsSince(run_start);
     stats->jobs = static_cast<int>(requests.size());
-    stats->threads_used = requests.empty() ? 0 : std::max(threads, 1);
-    stats->index_cache_hits = view_hits.load();
-    stats->index_cache_misses = view_misses.load();
+    stats->threads_used = futures.empty() ? std::min(threads, 1) : threads;
+    stats->index_cache_hits = batch->view_hits.load();
+    stats->index_cache_misses = batch->view_misses.load();
     for (const EvalResponse& r : responses) {
       stats->total_eval_ms += r.eval_ms;
       stats->max_job_ms = std::max(stats->max_job_ms, r.plan_ms + r.eval_ms);
       stats->eval.Add(r.eval);
-      if (r.plan_source == PlanSource::kBatchCache) ++stats->plan_cache_hits;
-      if (r.plan_source == PlanSource::kSharedCache) ++stats->cross_plan_hits;
+      if (r.plan_cached()) ++stats->plan_cache_hits;
       if (r.plan.approximate) ++stats->approx_jobs;
       if (r.status != ResponseStatus::kOk) ++stats->stopped_jobs;
       if (r.sharded) {
@@ -544,12 +476,9 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
         ++stats->shard_fallbacks;
       }
     }
-    for (const auto& [db, view] : views) {
-      stats->index_bytes += view->stats().bytes;
-    }
-    for (const auto& [db, slot] : shard_slots) {
-      if (!slot.built) continue;  // reads are safe: workers joined above
-      for (const auto& view : slot.ctx.views) {
+    for (const auto& [db, slot] : batch->slots) {
+      if (slot.view != nullptr) stats->index_bytes += slot.view->stats().bytes;
+      for (const auto& view : slot.shard.views) {
         stats->index_bytes += view->stats().bytes;
       }
     }
@@ -572,6 +501,14 @@ std::future<EvalResponse> RejectedFuture(SubmitRejectedError::Reason reason) {
 
 std::future<EvalResponse> QueryService::Submit(EvalRequest request) {
   CQA_CHECK(request.db != nullptr);
+  // A batch of one whose gather is the future. The interruption token is
+  // created NOW, so a deadline covers queue wait: a request that expires
+  // while queued returns an immediate (empty, sound) kDeadlineExceeded
+  // response instead of occupying a worker.
+  Job job;
+  job.ctx = ArmContext(options_.limits, request);
+  job.batch = std::make_shared<Batch>(std::move(request));
+  job.streamed = true;
   std::lock_guard<std::mutex> lock(mu_);
   // Submit after (or racing) Shutdown: a failed future, never a crash or a
   // silent drop — the submitter learns the fate of every request.
@@ -582,48 +519,25 @@ std::future<EvalResponse> QueryService::Submit(EvalRequest request) {
   // full queue; above the degrade threshold serve kExact as kBounds — the
   // approximation sandwich as load management (a sound under/over pair now
   // instead of an exact answer later).
-  bool degraded = false;
-  if (options_.max_queue > 0) {
-    if (static_cast<int>(queue_.size()) >= options_.max_queue) {
-      ++shed_rejected_;
-      return RejectedFuture(SubmitRejectedError::Reason::kQueueFull);
-    }
+  if (options_.max_queue > 0 &&
+      static_cast<int>(queue_.size()) >= options_.max_queue) {
+    ++shed_rejected_;
+    return RejectedFuture(SubmitRejectedError::Reason::kQueueFull);
   }
   const int degrade_at =
       options_.degrade_queue > 0
           ? options_.degrade_queue
           : (options_.max_queue > 0 ? std::max(1, options_.max_queue / 2) : 0);
+  EvalRequest& queued = job.batch->owned.front();
   if (degrade_at > 0 && static_cast<int>(queue_.size()) >= degrade_at &&
-      request.mode == AnswerMode::kExact) {
-    request.mode = AnswerMode::kBounds;
-    degraded = true;
+      queued.mode == AnswerMode::kExact) {
+    queued.mode = AnswerMode::kBounds;
+    job.degraded = true;
     ++shed_degraded_;
   }
-  if (options_.cache == nullptr && own_cache_ == nullptr) {
-    EvalCacheOptions cache_options;
-    cache_options.index = options_.engine.ToIndexOptions();
-    own_cache_ = std::make_shared<EvalCache>(cache_options);
-  }
-  if (workers_.empty()) {
-    const int threads = ResolveThreadCount(options_.num_threads);
-    workers_.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers_.emplace_back(&QueryService::WorkerLoop, this);
-    }
-  }
-  Pending pending{std::move(request)};
-  pending.degraded = degraded;
-  // The interruption token is created NOW, so a deadline covers queue wait:
-  // a request that expires while queued returns an immediate (empty, sound)
-  // kDeadlineExceeded response instead of occupying a worker.
-  const EvalLimits limits =
-      EvalLimits::Merge(options_.limits, pending.request.limits);
-  if (limits.any() || pending.request.cancel != nullptr) {
-    pending.ctx =
-        std::make_shared<const EvalContext>(limits, pending.request.cancel);
-  }
-  queue_.push_back(std::move(pending));
-  std::future<EvalResponse> future = queue_.back().promise.get_future();
+  StartPoolLocked();
+  std::future<EvalResponse> future = job.promise.get_future();
+  queue_.push_back(std::move(job));
   ++in_flight_;
   work_cv_.notify_one();
   return future;
@@ -658,64 +572,32 @@ CursorResponse QueryService::MakeCursors(EvalResponse response,
   return out;
 }
 
-void QueryService::WorkerLoop() {
-  const EngineSet engines;
-  std::unique_lock<std::mutex> lock(mu_);
+void QueryService::WorkerLoop() const {
   for (;;) {
-    work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stopping, and all pending requests done
-    Pending pending = std::move(queue_.front());
-    queue_.pop_front();
-    EvalCache* const cache =
-        options_.cache != nullptr ? options_.cache.get() : own_cache_.get();
-    lock.unlock();
-
-    EvalResponse response;
-    bool stopped = false;
-    // The shared_ptrs keep the views (and the shard partition) alive for
-    // the whole request even if a cache evicts or the registry supersedes
-    // them meanwhile. A throw must not escape the worker thread
-    // (std::terminate): it travels through the future.
-    try {
-      std::shared_ptr<const IndexedDatabase> view;
-      if (options_.engine.use_index) {
-        view = cache->AcquireIndexed(*pending.request.db);
-      }
-      // Lazy, like the batch path: the partition is only acquired when the
-      // plan passes the shard gate. Streamed requests run concurrently with
-      // each other already, so the per-request shard fan-out stays
-      // sequential to avoid oversubscribing the persistent pool.
-      ShardContext shard_ctx;
-      bool shard_ctx_built = false;
-      const ShardContextProvider acquire = [&]() {
-        if (!shard_ctx_built) {
-          shard_ctx.shards = AcquireShards(*pending.request.db);
-          shard_ctx.parallelism = 1;
-          if (options_.engine.use_index) {
-            shard_ctx.views.reserve(shard_ctx.shards->num_shards());
-            for (int k = 0; k < shard_ctx.shards->num_shards(); ++k) {
-              shard_ctx.views.push_back(
-                  cache->AcquireIndexed(shard_ctx.shards->shard(k)));
-            }
-          }
-          shard_ctx_built = true;
-        }
-        return static_cast<const ShardContext*>(&shard_ctx);
-      };
-      ExecuteRequest(pending.request, options_, engines, view.get(),
-                     /*batch_cache=*/nullptr, cache,
-                     options_.num_shards >= 1 ? &acquire : nullptr,
-                     pending.ctx.get(), &response);
-      response.degraded = pending.degraded;
-      stopped = response.status != ResponseStatus::kOk;
-      pending.promise.set_value(std::move(response));
-    } catch (...) {
-      pending.promise.set_exception(std::current_exception());
+    Job job;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and all queued jobs done
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
-
-    lock.lock();
-    ++streamed_jobs_;
-    if (stopped) ++stopped_jobs_;
+    // A throw must not escape the worker thread (std::terminate): it
+    // travels through the job's future.
+    bool stopped = false;
+    try {
+      EvalResponse response = RunJob(*job.batch, job.index, job.ctx);
+      response.degraded = job.degraded;
+      stopped = response.status != ResponseStatus::kOk;
+      job.promise.set_value(std::move(response));
+    } catch (...) {
+      job.promise.set_exception(std::current_exception());
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (job.streamed) {
+      ++streamed_jobs_;
+      if (stopped) ++stopped_jobs_;
+    }
     if (--in_flight_ == 0) idle_cv_.notify_all();
   }
 }
@@ -736,10 +618,7 @@ void QueryService::Shutdown() {
   for (std::thread& t : workers) t.join();
 }
 
-EvalCache* QueryService::serving_cache() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.cache != nullptr ? options_.cache.get() : own_cache_.get();
-}
+EvalCache* QueryService::serving_cache() const { return cache_.get(); }
 
 std::shared_ptr<std::mutex> QueryService::WriteMutexFor(const Database* db) {
   std::lock_guard<std::mutex> lock(pub_mu_);
@@ -757,42 +636,18 @@ bool QueryService::Publish(Database* db, RelationId rel, Tuple fact) {
 
 std::unique_ptr<Subscription> QueryService::Subscribe(EvalRequest request) {
   CQA_CHECK(request.db != nullptr);
-  // The subscription's view source: the shared cache when configured, else
-  // the private streaming cache (created here if Submit has not yet). Its
-  // identity catch-up path (eval/cache.h) is what keeps per-tick index
-  // maintenance O(delta) instead of a per-tick rebuild.
-  std::shared_ptr<EvalCache> cache;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_.cache != nullptr) {
-      cache = options_.cache;
-    } else {
-      if (own_cache_ == nullptr) {
-        EvalCacheOptions cache_options;
-        cache_options.index = options_.engine.ToIndexOptions();
-        own_cache_ = std::make_shared<EvalCache>(cache_options);
-      }
-      cache = own_cache_;
-    }
-  }
-  // Plan like any other request, through the shared plan tier. The plan is
-  // fixed for the subscription's lifetime — the decision depends on the
-  // query shape and mode only, never on the data.
-  const std::vector<int> key =
-      PlanCacheKey(request.query, options_.planner, request.mode);
-  std::shared_ptr<const PlanDecision> cached = cache->LookupPlan(key);
-  PlanDecision plan;
-  if (cached != nullptr) {
-    plan = *cached;
-  } else {
-    plan = PlanQuery(request.query, options_.planner, request.mode);
-    cache->StorePlan(key, std::make_shared<const PlanDecision>(plan));
-  }
+  // Plan like any other request, through the serving cache's plan tier. The
+  // plan is fixed for the subscription's lifetime — the decision depends on
+  // the query shape and mode only, never on the data.
+  PlanDecision plan = *Plan(request.query, request.mode, nullptr);
   const EvalLimits limits = EvalLimits::Merge(options_.limits, request.limits);
   auto state = std::make_unique<StandingQueryState>(
       std::move(request.query), request.mode, std::move(plan));
+  // The serving cache is also the subscription's view source: its identity
+  // catch-up path (eval/cache.h) keeps per-tick index maintenance O(delta)
+  // instead of a per-tick rebuild.
   return std::unique_ptr<Subscription>(new Subscription(
-      std::move(state), request.db, limits, request.cancel, std::move(cache),
+      std::move(state), request.db, limits, request.cancel, cache_,
       options_.engine.use_index, WriteMutexFor(request.db)));
 }
 

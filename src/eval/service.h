@@ -2,7 +2,7 @@
 // (query + database ref + AnswerMode + one consolidated EvalOptions) and get
 // EvalResponses back (answers or an AnswerBounds sandwich, plus the plan,
 // where it came from, and per-request stats) — blocking one at a time, as a
-// deterministic batch, streamed through a persistent worker pool, or as a
+// deterministic batch, streamed one future at a time, or as a
 // *standing query* (Subscribe/Publish + Subscription::Poll): the answers are
 // maintained incrementally as facts are inserted, each Poll returning just
 // the additions (eval/delta_eval.h has the delta algebra). The
@@ -10,6 +10,14 @@
 // an approximate mode on a width-over-budget query is answered by evaluating
 // synthesized TW(width_budget) rewrites, whose synthesis is cached per query
 // shape in the EvalCache plan tier so it is paid once across batches.
+//
+// One execution path serves every calling convention. Its unit of work is
+// one request of a batch; a batch is submit-all onto the service's worker
+// pool plus an in-order gather, and Submit is a batch of one whose gather is
+// a future. Plans and index views come from one serving cache
+// (EvalOptions::cache, or a private EvalCache the constructor creates), and
+// its plan tier coalesces concurrent planning of one shape — whether the
+// requests arrive in a batch, streamed, or through Subscribe.
 //
 // Sharded evaluation (EvalOptions::num_shards >= 1): every database a
 // request mentions is hash-partitioned by first column (data/shard.h) and
@@ -23,10 +31,6 @@
 // views keyed by each shard's own uid, so they survive across batches like
 // any other view.
 //
-// (The pre-QueryService batch vocabulary — BatchJob/BatchResult/
-// BatchOptions aliases and the deprecated BatchEvaluator forwards — was
-// removed after its one-release migration window.)
-//
 // Ownership and thread-safety contracts
 // -------------------------------------
 //  - EvalRequest borrows its Database; the caller keeps it alive until the
@@ -34,21 +38,20 @@
 //    a database while requests over it are in flight. Mutating between
 //    batches is fine — everything derived from a database is keyed by
 //    (Database::uid, version), and a higher version is caught up in place.
-//  - QueryService::EvaluateBatch is const and reentrant; it owns its
-//    transient thread pool and per-run caches, so several batches may
-//    proceed concurrently on one service. Within a batch, one immutable
-//    IndexedDatabase view per distinct database is shared by all workers,
-//    and planner decisions are reused across requests of the same canonical
-//    shape x mode. Results are deterministic: bit-identical to a sequential
-//    run.
-//  - When EvalOptions::cache is set, views and plans come from (and survive
-//    into) that shared EvalCache; the cache's own IndexOptions govern index
-//    building. The cache may be shared by many services and threads.
+//  - QueryService::EvaluateBatch is const and reentrant: several batches
+//    (and Submits) may proceed concurrently on one service, their jobs
+//    sharing the worker pool's queue in arrival order. Within a batch, one
+//    immutable IndexedDatabase view per distinct database is shared by all
+//    jobs. Results are deterministic: bit-identical to a sequential run.
+//  - Views and plans come from (and survive into) the serving cache:
+//    EvalOptions::cache when set — the cache's own IndexOptions then govern
+//    index building, and it may be shared by many services and threads —
+//    else a private EvalCache built from EngineOptions::ToIndexOptions().
 //  - Submit/Drain/Shutdown form the streaming seam. They are mutually
-//    thread-safe (any thread may submit), but unlike EvaluateBatch they
-//    mutate the service (a persistent worker pool + queue), so a streaming
-//    service must outlive its futures' producers, i.e. destroy it only
-//    after Shutdown or after all futures are ready. A request's answers are
+//    thread-safe (any thread may submit). The worker pool starts on the
+//    first Submit or multi-request batch and stops at Shutdown; a service
+//    must outlive its futures' producers, i.e. destroy it only after
+//    Shutdown or after all futures are ready. A request's answers are
 //    identical to what a blocking EvaluateBatch of the same request would
 //    return; only completion order varies.
 //  - With num_shards >= 1 the service keeps one ShardedDatabase partition
@@ -86,16 +89,17 @@
 namespace cqa {
 
 class EvalCache;           // eval/cache.h
+struct EngineSet;          // eval/service.cc: one instance of every engine
 class ShardedDatabase;     // data/shard.h
 class StandingQueryState;  // eval/delta_eval.h
 
 /// The consolidated serving options: everything that used to be spread over
 /// EngineOptions, PlannerOptions and the batch knobs, in one struct. The
 /// engine/planner sub-structs are *nested once* here (engine.h stays their
-/// single source of truth — nothing is re-declared); the static_asserts
-/// after the legacy aliases below pin the no-duplication invariant.
+/// single source of truth — nothing is re-declared).
 struct EvalOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
+  /// Worker-pool threads; 0 means std::thread::hardware_concurrency()
+  /// (min 1).
   int num_threads = 0;
   /// Hash shards per database for the sharded evaluation path; 0 (or
   /// negative) = off. When >= 1, each distinct database is partitioned by
@@ -118,16 +122,18 @@ struct EvalOptions {
   /// Cross-batch cache (eval/cache.h). When set, index views and plans are
   /// looked up there first and stored back, so they outlive any one batch;
   /// the cache's IndexOptions override EngineOptions' index knobs. When
-  /// unset, EvaluateBatch keeps per-run caches and Submit lazily creates a
-  /// private EvalCache so streaming still amortizes across requests.
+  /// unset, the service creates a private EvalCache that plays the same
+  /// role for its own lifetime (QueryService::serving_cache).
   std::shared_ptr<EvalCache> cache;
   /// Default resource limits applied to every request (deadline, node
   /// budget, max_answers; eval/eval_context.h). A request's own
   /// EvalRequest::limits overrides these field by field. For streamed
-  /// requests the deadline clock starts at Submit — queueing counts.
+  /// requests the deadline clock starts at Submit — queueing counts; for
+  /// batch requests it starts when the request's job does.
   EvalLimits limits;
-  /// Streaming admission control: the submit queue refuses to grow beyond
-  /// this many *queued* (not yet executing) requests — Submit then returns
+  /// Streaming admission control: Submit refuses to grow the pool's queue
+  /// beyond this many *queued* (not yet executing) jobs — queued batch jobs
+  /// count, though batches themselves are never refused — and returns
   /// a failed future carrying SubmitRejectedError{kQueueFull} and
   /// BatchStats::shed_rejected counts it. 0 (or negative) = unbounded.
   int max_queue = 0;
@@ -207,7 +213,7 @@ struct EvalResponse {
   double plan_ms = 0.0;  ///< planning wall time (includes synthesis)
   double eval_ms = 0.0;  ///< evaluation wall time
 
-  /// True when the plan came from a cache (either tier).
+  /// True when the plan came from the EvalCache plan tier.
   bool plan_cached() const { return plan_source != PlanSource::kPlanned; }
 };
 
@@ -218,14 +224,13 @@ struct BatchStats {
   double max_job_ms = 0.0;     ///< slowest single request (plan + eval)
   int jobs = 0;
   int threads_used = 0;
-  /// Requests whose plan was an *intra-batch reuse*: a decision made
-  /// earlier in this same batch. Cross-batch hits are counted separately.
+  /// Requests whose plan was served from the EvalCache plan tier: an
+  /// earlier request of this batch, another batch, a streamed request or a
+  /// subscription planned this shape x mode first.
   long long plan_cache_hits = 0;
-  /// Requests whose plan came from the shared EvalCache (a different batch
-  /// — or streaming request — planned this shape x mode first).
-  long long cross_plan_hits = 0;
-  /// Distinct-database view acquisitions served by the shared EvalCache /
-  /// built fresh into it. Both stay 0 when EvalOptions::cache is unset.
+  /// Distinct-database view acquisitions (one plain view per database,
+  /// plus each per-shard view of a sharded database) served by the serving
+  /// cache / built fresh into it.
   long long index_cache_hits = 0;
   long long index_cache_misses = 0;
   /// Requests answered through approximation rewrites (plan.approximate).
@@ -244,7 +249,7 @@ struct BatchStats {
   /// max_queue / degrade_queue): kExact requests degraded to kBounds under
   /// queue pressure, and submissions rejected outright on a full queue.
   /// Populated by QueryService::StreamingStats; always 0 in EvaluateBatch
-  /// stats (batches are admitted as a whole).
+  /// stats (batch jobs skip admission control).
   long long shed_degraded = 0;
   long long shed_rejected = 0;
   EvalStats eval;             ///< summed per-request evaluation counters
@@ -391,7 +396,7 @@ class Subscription {
   const Database* db_;
   EvalLimits limits_;
   CancelFlag cancel_;
-  std::shared_ptr<EvalCache> cache_;  ///< view source; null = scan path
+  std::shared_ptr<EvalCache> cache_;  ///< view source (the serving cache)
   bool use_index_;
   /// The database's write lock, shared with QueryService::Publish: held for
   /// the whole tick so the fact vectors are stable while Poll reads them.
@@ -418,25 +423,25 @@ class QueryService {
   /// Evaluates one request, blocking. Equivalent to a one-element batch.
   EvalResponse Evaluate(const EvalRequest& request) const;
 
-  /// Runs all requests across a transient thread pool; results are indexed
-  /// like the input and bit-identical to a sequential run. `stats`
-  /// (optional) receives aggregate timing. When indexing is on, one
-  /// immutable IndexedDatabase per distinct database is shared by all
-  /// workers; plans are cached per canonical shape x mode so repeated
-  /// shapes (and their approximation synthesis) plan once. If a request
-  /// throws (e.g. bad_alloc), the pool winds down and the first exception
-  /// is rethrown to the caller.
+  /// Runs all requests as jobs on the worker pool and gathers the results
+  /// in input order; they are bit-identical to a sequential run. A batch of
+  /// one request, a one-thread pool, or a shut-down service runs inline on
+  /// the caller instead. Batch jobs skip admission control, and each arms
+  /// its deadline when it starts. `stats` (optional) receives aggregate
+  /// timing. When indexing is on, one immutable IndexedDatabase per
+  /// distinct database is shared by all jobs; plans come from the serving
+  /// cache's plan tier, so repeated shapes (and their approximation
+  /// synthesis) plan once. If requests throw (e.g. bad_alloc), every job
+  /// still finishes and the exception of the lowest-index one is rethrown.
   std::vector<EvalResponse> EvaluateBatch(
       const std::vector<EvalRequest>& requests,
       BatchStats* stats = nullptr) const;
 
-  /// Streaming submission: enqueues one request on the persistent worker
-  /// pool (started lazily on first call) and returns a future for its
-  /// response. The answers equal what EvaluateBatch({request}) would
-  /// produce. Thread-safe. Plans and (when indexing is on) views go
-  /// through EvalOptions::cache, or through a private EvalCache created on
-  /// first Submit when none was configured. If the request throws, the
-  /// exception is delivered via the future.
+  /// Streaming submission: enqueues one request on the worker pool (a
+  /// batch of one) and returns a future for its response. The answers
+  /// equal what EvaluateBatch({request}) would produce. Thread-safe. Plans
+  /// and (when indexing is on) views go through the serving cache. If the
+  /// request throws, the exception is delivered via the future.
   ///
   /// Admission control: after Shutdown() — or when a concurrent Shutdown
   /// wins the race — Submit returns a failed future carrying
@@ -467,8 +472,8 @@ class QueryService {
   void Drain();
 
   /// Drains outstanding requests, then stops and joins the worker pool.
-  /// Idempotent; afterwards Submit returns failed futures (see Submit).
-  /// Thread-safe.
+  /// Idempotent; afterwards Submit returns failed futures (see Submit) and
+  /// EvaluateBatch runs inline. Thread-safe.
   void Shutdown();
 
   /// Registers a standing query: plans `request` (same plan cache as any
@@ -485,20 +490,25 @@ class QueryService {
   /// Thread-safe; `db` must outlive the call.
   bool Publish(Database* db, RelationId rel, Tuple fact);
 
-  /// The cache streaming requests go through: EvalOptions::cache when set,
-  /// else the private cache (nullptr before the first Submit creates it).
+  /// The cache every request goes through: EvalOptions::cache when set,
+  /// else the private cache the constructor created. Never null.
   EvalCache* serving_cache() const;
 
   const EvalOptions& options() const { return options_; }
 
  private:
-  struct Pending {
-    EvalRequest request;
+  struct Batch;  // one batch's requests and per-database slots (service.cc)
+
+  /// The pool's unit of work: request `index` of `batch`.
+  struct Job {
+    std::shared_ptr<Batch> batch;
+    size_t index = 0;
     std::promise<EvalResponse> promise;
-    /// Created at Submit time (deadline armed there: queue wait counts);
-    /// null when the request has no limits and no cancel flag.
+    /// Armed at Submit time (queue wait counts against the deadline); null
+    /// means the job arms its own token when it starts.
     std::shared_ptr<const EvalContext> ctx;
     bool degraded = false;  ///< admission control rewrote kExact -> kBounds
+    bool streamed = false;  ///< a Submit: counted by StreamingStats
   };
 
   // The partition of one database (num_shards is fixed by the options),
@@ -510,7 +520,24 @@ class QueryService {
     std::shared_ptr<ShardedDatabase> shards;
   };
 
-  void WorkerLoop();
+  /// Starts the worker pool unless it runs already. Caller holds mu_.
+  void StartPoolLocked() const;
+  void WorkerLoop() const;
+
+  /// Plans and evaluates request `index` of `batch`; the one execution path
+  /// behind Evaluate, EvaluateBatch and Submit. A null `ctx` is armed here.
+  EvalResponse RunJob(Batch& batch, size_t index,
+                      std::shared_ptr<const EvalContext> ctx) const;
+
+  /// The one planning path (batch, streamed and Subscribe): the serving
+  /// cache's plan tier, which coalesces concurrent misses on a shape.
+  /// `hit` (optional out) reports a decision served from the cache.
+  std::shared_ptr<const PlanDecision> Plan(const ConjunctiveQuery& query,
+                                           AnswerMode mode, bool* hit) const;
+
+  /// `db`'s view from the serving cache, counted into `batch`'s stats.
+  std::shared_ptr<const IndexedDatabase> AcquireView(Batch& batch,
+                                                     const Database& db) const;
 
   /// The partition of `db`, building and registering one on first use and
   /// catching it up in place when `db` grew since. Thread-safe; the
@@ -524,26 +551,27 @@ class QueryService {
   std::shared_ptr<std::mutex> WriteMutexFor(const Database* db);
 
   EvalOptions options_;
+  std::shared_ptr<EvalCache> cache_;  ///< the serving cache; never null
+  std::unique_ptr<const EngineSet> engines_;
 
-  // Streaming state (untouched by EvaluateBatch, which is const and
-  // self-contained).
+  // The worker pool and its FIFO job queue, shared by EvaluateBatch and
+  // Submit. Mutable: the const EvaluateBatch enqueues onto it too.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< signals workers: request or shutdown
-  std::condition_variable idle_cv_;  ///< signals Drain: in_flight_ hit 0
-  std::deque<Pending> queue_;
-  std::vector<std::thread> workers_;
-  std::shared_ptr<EvalCache> own_cache_;  ///< lazy fallback serving cache
-  long long in_flight_ = 0;               ///< queued + executing requests
+  mutable std::condition_variable work_cv_;  ///< signals workers: job or stop
+  mutable std::condition_variable idle_cv_;  ///< signals Drain: in_flight_ 0
+  mutable std::deque<Job> queue_;
+  mutable std::vector<std::thread> workers_;
+  mutable long long in_flight_ = 0;  ///< queued + executing jobs
   bool stopping_ = false;
   // Streaming-path counters (guarded by mu_; surfaced by StreamingStats).
-  long long streamed_jobs_ = 0;
+  mutable long long streamed_jobs_ = 0;
   long long shed_degraded_ = 0;
   long long shed_rejected_ = 0;
-  long long stopped_jobs_ = 0;
+  mutable long long stopped_jobs_ = 0;
 
-  // Shard-partition registry by Database::uid(), shared by batch and
-  // streaming paths (its own lock: never held together with mu_). Holds
-  // one entry per database served sharded, for the service's lifetime.
+  // Shard-partition registry by Database::uid(), shared by every job (its
+  // own lock: never held together with mu_). Holds one entry per database
+  // served sharded, for the service's lifetime.
   mutable std::mutex shard_mu_;
   mutable std::unordered_map<uint64_t, ShardPartition> shard_partitions_;
 

@@ -61,6 +61,7 @@ std::vector<VarTable> HyperedgeTables(const ConjunctiveQuery& q,
     std::vector<int> scope = atom.vars;
     std::sort(scope.begin(), scope.end());
     scope.erase(std::unique(scope.begin(), scope.end()), scope.end());
+    if (scope.empty()) continue;  // a nullary guard: checked by the caller
     int edge = -1;
     for (int i = 0; i < h.num_edges(); ++i) {
       if (h.edge(i) == scope) {
@@ -89,6 +90,17 @@ AnswerSet RunYannakakis(const ConjunctiveQuery& q, const Database& db,
   const Hypergraph h = HypergraphOfQuery(q);
   const auto jt = BuildJoinTree(h);
   CQA_CHECK(jt.has_value());  // caller must pass an acyclic query
+  // Nullary atoms have no hyperedge. Each is a guard: Q(D) is empty unless
+  // its relation holds the empty fact, and a query of guards only answers
+  // the empty tuple.
+  AnswerSet out(static_cast<int>(q.free_variables().size()));
+  for (const Atom& atom : q.atoms()) {
+    if (atom.vars.empty() && db.facts(atom.rel).empty()) return out;
+  }
+  if (h.num_edges() == 0) {
+    out.Insert(Tuple{});
+    return out;
+  }
   std::vector<VarTable> tables = HyperedgeTables(q, h, db, idb, stats);
   return EvaluateJoinForest(std::move(tables), jt->parent, q.free_variables(),
                             idb, stats, ctx);

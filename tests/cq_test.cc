@@ -10,6 +10,11 @@
 #include "cq/properties.h"
 #include "cq/tableau.h"
 #include "cq/trivial.h"
+#include "data/database.h"
+#include "data/index.h"
+#include "eval/engine.h"
+#include "eval/naive.h"
+#include "eval/service.h"
 
 namespace cqa {
 namespace {
@@ -55,6 +60,69 @@ TEST(ParseTest, PrintRoundTrip) {
   const std::string text = PrintQuery(q);
   const ConjunctiveQuery q2 = MustParseQuery(G(), text);
   EXPECT_TRUE(AreEquivalent(q, q2));
+}
+
+// E plus a nullary (propositional) symbol P.
+VocabularyPtr GraphWithFlag() {
+  auto vocab = std::make_shared<Vocabulary>();
+  vocab->AddRelation("E", 2);
+  vocab->AddRelation("P", 0);
+  return vocab;
+}
+
+TEST(ParseTest, NullaryAtomRoundTrip) {
+  const VocabularyPtr vocab = GraphWithFlag();
+  const ConjunctiveQuery q = MustParseQuery(vocab, "Q(x) :- E(x, y), P()");
+  ASSERT_EQ(q.atoms().size(), 2u);
+  EXPECT_TRUE(q.atoms()[1].vars.empty());
+  const std::string text = PrintQuery(q);
+  EXPECT_EQ(text, "Q(x) :- E(x, y), P()");
+  std::string error;
+  const auto reparsed = ParseQuery(vocab, text, &error);
+  ASSERT_TRUE(reparsed.has_value()) << error;
+  EXPECT_TRUE(AreEquivalent(q, *reparsed));
+  // Empty arguments are zero variables, not a license for empty names.
+  EXPECT_FALSE(ParseQuery(vocab, "Q(x) :- E(x, y), P(x)").has_value());
+  EXPECT_FALSE(ParseQuery(vocab, "Q(x) :- E(x, ), P()").has_value());
+  EXPECT_FALSE(ParseQuery(vocab, "Q(x) :- E(), P()").has_value());
+}
+
+// A nullary atom is a guard: the answers are those of the rest of the query
+// while P holds, and empty while it does not — on every engine and through
+// the service. A query of guards only answers the empty tuple while they
+// hold.
+TEST(ParseTest, NullaryAtomEvaluatesLikeNaive) {
+  const VocabularyPtr vocab = GraphWithFlag();
+  const ConjunctiveQuery guarded =
+      MustParseQuery(vocab, "Q(x) :- E(x, y), P()");
+  const ConjunctiveQuery flag = MustParseQuery(vocab, "Q() :- P()");
+  Database db(vocab, 4);
+  db.AddFact(0, {0, 1});
+  db.AddFact(0, {2, 3});
+  db.AddFact(0, {3, 2});
+  const QueryService service;
+  for (const bool holds : {false, true}) {
+    if (holds) db.AddFact(1, {});
+    EXPECT_EQ(EvaluateNaive(guarded, db).size(), holds ? 3u : 0u);
+    EXPECT_EQ(EvaluateNaive(flag, db).size(), holds ? 1u : 0u);
+    for (const ConjunctiveQuery& q : {guarded, flag}) {
+      const AnswerSet want = EvaluateNaive(q, db);
+      const IndexedDatabase idb(db);
+      for (const EngineKind kind :
+           {EngineKind::kNaive, EngineKind::kYannakakis,
+            EngineKind::kTreewidth}) {
+        const std::unique_ptr<Engine> engine = MakeEngine(kind);
+        if (!engine->Supports(q)) continue;
+        EXPECT_TRUE(engine->Evaluate(q, db) == want)
+            << engine->name() << " " << PrintQuery(q) << " holds=" << holds;
+        EXPECT_TRUE(engine->Evaluate(q, idb) == want)
+            << engine->name() << " (indexed) " << PrintQuery(q)
+            << " holds=" << holds;
+      }
+      EXPECT_TRUE(service.Evaluate({q, &db}).answers == want)
+          << PrintQuery(q) << " holds=" << holds;
+    }
+  }
 }
 
 TEST(CqTest, DuplicateAtomsIgnored) {

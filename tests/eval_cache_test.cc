@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "base/rng.h"
@@ -156,24 +159,25 @@ TEST(EvalCacheTest, CrossBatchStatsDistinguishTiersFromIntraBatchReuse) {
   const QueryService evaluator(opts);
 
   // Cold batch: nothing is in the shared cache yet — 2 plans are computed,
-  // 7 jobs reuse them intra-batch, the one view is built fresh.
+  // the other 7 jobs are served from the plan tier, the one view is built
+  // fresh.
   BatchStats cold;
   const auto first = evaluator.EvaluateBatch(jobs, &cold);
   EXPECT_EQ(cold.plan_cache_hits, 7);
-  EXPECT_EQ(cold.cross_plan_hits, 0);
   EXPECT_EQ(cold.index_cache_hits, 0);
   EXPECT_EQ(cold.index_cache_misses, 1);
+  EXPECT_EQ(first[0].plan_source, PlanSource::kPlanned);
+  EXPECT_EQ(first[2].plan_source, PlanSource::kSharedCache);
 
-  // Warm batch: both shapes hit the shared cache (2 cross-batch hits), the
-  // remaining 7 jobs are intra-batch reuses again, and the view is shared.
+  // Warm batch: every plan and the view come from the shared cache.
   BatchStats warm;
   const auto second = evaluator.EvaluateBatch(jobs, &warm);
-  EXPECT_EQ(warm.plan_cache_hits, 7);
-  EXPECT_EQ(warm.cross_plan_hits, 2);
+  EXPECT_EQ(warm.plan_cache_hits, 9);
   EXPECT_EQ(warm.index_cache_hits, 1);
   EXPECT_EQ(warm.index_cache_misses, 0);
-  EXPECT_EQ(second[0].plan_source, PlanSource::kSharedCache);
-  EXPECT_EQ(second[2].plan_source, PlanSource::kBatchCache);
+  for (size_t i = 0; i < second.size(); ++i) {
+    EXPECT_EQ(second[i].plan_source, PlanSource::kSharedCache) << "job " << i;
+  }
   EXPECT_TRUE(second[0].plan_cached());
 
   // Warm answers are identical to cold ones and to ground truth.
@@ -185,7 +189,8 @@ TEST(EvalCacheTest, CrossBatchStatsDistinguishTiersFromIntraBatchReuse) {
   }
 
   const EvalCacheStats stats = opts.cache->stats();
-  EXPECT_EQ(stats.plan_hits, 2);
+  EXPECT_EQ(stats.plan_hits, 16);  // 7 cold + 9 warm
+  EXPECT_EQ(stats.plan_misses, 2);
   EXPECT_EQ(stats.index_hits, 1);
   EXPECT_EQ(stats.index_entries, 1);
 }
@@ -361,6 +366,44 @@ TEST(EvalCacheTest, PlanLruEvictsBeyondEntryBound) {
   EXPECT_EQ(out->kind, EngineKind::kTreewidth);
   const EvalCacheStats stats = cache.stats();
   EXPECT_EQ(stats.plan_evictions, 1);
+  EXPECT_EQ(stats.plan_entries, 1);
+}
+
+// A planner that throws must not leave its key claimed: the caller sees the
+// exception, and every later (or waiting) caller of that key plans it
+// instead of blocking forever.
+TEST(EvalCacheTest, AcquirePlanReleasesClaimWhenPlanningThrows) {
+  EvalCache cache;
+  const std::vector<int> key = {7};
+  const auto good = [] {
+    PlanDecision plan;
+    plan.kind = EngineKind::kTreewidth;
+    return plan;
+  };
+
+  std::promise<void> waiter_started;
+  std::future<std::shared_ptr<const PlanDecision>> waiter;
+  const auto failing = [&]() -> PlanDecision {
+    // A second caller of the key arrives while this claim is held.
+    waiter = std::async(std::launch::async, [&] {
+      waiter_started.set_value();
+      return cache.AcquirePlan(key, good);
+    });
+    waiter_started.get_future().wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    throw std::runtime_error("synthesis failed");
+  };
+  EXPECT_THROW(cache.AcquirePlan(key, failing), std::runtime_error);
+
+  const std::shared_ptr<const PlanDecision> planned = waiter.get();
+  ASSERT_NE(planned, nullptr);
+  EXPECT_EQ(planned->kind, EngineKind::kTreewidth);
+  bool hit = false;
+  EXPECT_EQ(cache.AcquirePlan(key, good, &hit), planned);
+  EXPECT_TRUE(hit);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.plan_misses, 2);  // the failed claim and the retry
+  EXPECT_EQ(stats.plan_hits, 1);
   EXPECT_EQ(stats.plan_entries, 1);
 }
 
