@@ -9,9 +9,15 @@
 // queries, where the warm batches must reuse the *synthesized* plans from
 // the EvalCache plan tier (every warm batch after the first serves all of
 // its plans from the cache: plan_cache_hits == jobs) and
-// every sandwich must satisfy under ⊆ exact ⊆ over. Pass --quick for a
-// reduced run (CI smoke test) and --csv <path> to mirror the tables into a
-// CSV artifact. Exits nonzero when any invariant fails.
+// every sandwich must satisfy under ⊆ exact ⊆ over. The same series counts
+// the answer rows the engines materialize (EvalStats::answer_rows) and
+// fails when a warm batch materializes more than half of what evaluating
+// and combining every rewrite would: the over side must filter its
+// driver's candidates, not materialize each rewrite. A last scan-mode
+// batch times the intersecting fallback and must match the indexed
+// answers. Pass --quick for a reduced run (CI smoke test) and --csv <path>
+// to mirror the tables into a CSV artifact. Exits nonzero when any
+// invariant fails.
 
 #include <future>
 #include <memory>
@@ -20,6 +26,7 @@
 #include "base/rng.h"
 #include "bench_util.h"
 #include "data/generators.h"
+#include "data/index.h"
 #include "eval/cache.h"
 #include "eval/service.h"
 #include "gadgets/workloads.h"
@@ -265,10 +272,30 @@ void RunApproxBounds(const std::vector<Database>& dbs, bool quick) {
   warm_opts.cache = std::make_shared<EvalCache>();
   const QueryService warm(warm_opts);
 
+  // The materialize-and-combine reference: every under- and over-rewrite
+  // of every job evaluated in full through its engine.
+  long long combine_rows = 0;
+  {
+    std::vector<std::unique_ptr<IndexedDatabase>> views;
+    for (const Database& db : dbs) {
+      views.push_back(std::make_unique<IndexedDatabase>(db));
+    }
+    for (size_t i = 0; i < cold_results.size(); ++i) {
+      const IndexedDatabase& view = *views[i % dbs.size()];
+      for (const auto* side :
+           {&cold_results[i].plan.under, &cold_results[i].plan.over}) {
+        for (const ApproxSubPlan& sub : *side) {
+          combine_rows += static_cast<long long>(
+              MakeEngine(sub.kind)->Evaluate(sub.query, view).size());
+        }
+      }
+    }
+  }
+
   bench::PrintRow({"batch", "wall_ms", "plan_hits", "approx_jobs", "certain",
-                   "possible", "exact", "sandwich"},
+                   "possible", "exact", "rows", "ref_rows", "sandwich"},
                   12);
-  bench::PrintRule(8, 12);
+  bench::PrintRule(10, 12);
 
   const auto check_batch = [&](const char* label,
                                const std::vector<EvalResponse>& results,
@@ -290,7 +317,8 @@ void RunApproxBounds(const std::vector<Database>& dbs, bool quick) {
     g_all_ok &= sandwich;
     bench::PrintRow({label, Fmt(stats.wall_ms), Fmt(stats.plan_cache_hits),
                      Fmt(stats.approx_jobs), Fmt(certain), Fmt(possible),
-                     Fmt(exact_total), sandwich ? "yes" : "NO"},
+                     Fmt(exact_total), Fmt(stats.eval.answer_rows),
+                     Fmt(combine_rows), sandwich ? "yes" : "NO"},
                     12);
   };
 
@@ -313,8 +341,35 @@ void RunApproxBounds(const std::vector<Database>& dbs, bool quick) {
       std::fprintf(stderr, "FAILED: not every bounds job was approximated\n");
       g_all_ok = false;
     }
+    if (2 * stats.eval.answer_rows > combine_rows) {
+      std::fprintf(stderr,
+                   "FAILED: warm approximated batch %d materialized %lld "
+                   "answer rows, more than half of materialize-and-combine's "
+                   "%lld\n",
+                   b + 1, stats.eval.answer_rows, combine_rows);
+      g_all_ok = false;
+    }
     check_batch(("warm" + std::to_string(b + 1)).c_str(), results, stats);
     g_all_ok &= SameAnswers(results, cold_results);
+  }
+
+  // Scan mode (no index views) intersects every materialized over-rewrite
+  // instead of probing: its rows match ref_rows, and both sandwich sides
+  // must equal the indexed ones.
+  EvalOptions scan_opts = opts;
+  scan_opts.engine.use_index = false;
+  scan_opts.cache = std::make_shared<EvalCache>();
+  BatchStats scan_stats;
+  const auto scan_results =
+      QueryService(scan_opts).EvaluateBatch(jobs, &scan_stats);
+  check_batch("scan", scan_results, scan_stats);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (!scan_results[i].bounds.has_value() ||
+        !(scan_results[i].bounds->over == cold_results[i].bounds->over) ||
+        !(scan_results[i].answers == cold_results[i].answers)) {
+      std::fprintf(stderr, "FAILED: scan-mode bounds job %zu differs\n", i);
+      g_all_ok = false;
+    }
   }
 }
 

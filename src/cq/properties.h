@@ -35,6 +35,20 @@ bool IsHypertreeWidthAtMost(const ConjunctiveQuery& q, int k);
 /// Generalized hypertree width of H(Q) <= k: membership in GHTW(k).
 bool IsGeneralizedHypertreeWidthAtMost(const ConjunctiveQuery& q, int k);
 
+/// One free-connected component of a CQ body (FreeConnectedComponents).
+struct FreeComponent {
+  std::vector<int> atoms;      ///< indexes into q.atoms(), ascending
+  std::vector<int> free_vars;  ///< distinct free variables it touches
+};
+
+/// The free-connected components of Q's body: two atoms share a component
+/// when they share a non-free variable, transitively; free variables never
+/// connect atoms. Components come in order of their first atom. Given an
+/// answer tuple (free variables bound), the components constrain disjoint
+/// sets of existential variables, so Q holds iff every component has a
+/// witness on its own.
+std::vector<FreeComponent> FreeConnectedComponents(const ConjunctiveQuery& q);
+
 /// True over the graph vocabulary (single binary relation).
 bool IsGraphQuery(const ConjunctiveQuery& q);
 

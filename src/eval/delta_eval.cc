@@ -8,36 +8,6 @@
 namespace cqa {
 namespace {
 
-// Greedy connected trial order with a pre-bound seed set: repeatedly pick
-// the atom with the most already-bound slot occurrences (ties to the lowest
-// index) — GreedyProbeOrder's policy, generalized to a nonempty initial
-// bound set (the pinned atom's variables).
-std::vector<ProbeAtom> OrderSeeded(std::vector<ProbeAtom> atoms,
-                                   std::vector<bool> bound) {
-  std::vector<ProbeAtom> out;
-  out.reserve(atoms.size());
-  std::vector<bool> used(atoms.size(), false);
-  for (size_t step = 0; step < atoms.size(); ++step) {
-    int best = -1;
-    int best_score = -1;
-    for (size_t j = 0; j < atoms.size(); ++j) {
-      if (used[j]) continue;
-      int score = 0;
-      for (const int s : atoms[j].slots) {
-        if (bound[s]) ++score;
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(j);
-      }
-    }
-    used[best] = true;
-    for (const int s : atoms[best].slots) bound[s] = true;
-    out.push_back(std::move(atoms[best]));
-  }
-  return out;
-}
-
 AnswerSet EvaluateSub(const ConjunctiveQuery& q, EngineKind kind,
                       const Database& db, const IndexedDatabase* idb,
                       EvalStats* stats, const EvalContext* ctx) {
@@ -68,7 +38,7 @@ DeltaEvaluator::DeltaEvaluator(const ConjunctiveQuery& q, const Database& db,
     SeededSearch seed;
     seed.seed_vars = atoms[i].vars;
     seed.search = std::make_unique<ProbeBacktracker>(
-        OrderSeeded(std::move(rest), bound), q.num_variables(), bound, db,
+        GreedyProbeOrder(std::move(rest), bound), q.num_variables(), bound, db,
         idb, stats, ctx);
     seeds_.push_back(std::move(seed));
   }

@@ -1,5 +1,6 @@
 #include "eval/engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
@@ -73,6 +74,27 @@ ApproxSubPlan PlanRewrite(ConjunctiveQuery rewrite,
   return sub;
 }
 
+// The over-rewrite ranking, lower first: rewrites with a free-connected
+// component (FreeConnectedComponents) that holds every free variable come
+// first, fewest atoms in such a component first. That component constrains
+// the whole answer tuple at once, so the smallest one makes the most
+// selective driver for IntersectionOfSubPlans (eval/service.cc) and the
+// tightest rewrite to keep under the max_rewrites cap.
+std::pair<int, int> OverRank(const ConjunctiveQuery& sub) {
+  std::vector<int> head = sub.free_variables();
+  std::sort(head.begin(), head.end());
+  const size_t num_free = static_cast<size_t>(
+      std::unique(head.begin(), head.end()) - head.begin());
+  int best = -1;
+  for (const FreeComponent& c : FreeConnectedComponents(sub)) {
+    const int size = static_cast<int>(c.atoms.size());
+    if (c.free_vars.size() == num_free && (best < 0 || size < best)) {
+      best = size;
+    }
+  }
+  return best < 0 ? std::pair<int, int>{1, 0} : std::pair<int, int>{0, best};
+}
+
 // Fills d.under / d.over with TW(width_budget) rewrites of q as `mode`
 // requires. Returns false (leaving d untouched beyond diagnostics) when a
 // required side produced no usable rewrite, so the caller can fall back to
@@ -97,8 +119,16 @@ bool SynthesizeRewrites(const ConjunctiveQuery& q, const PlannerOptions& opts,
   }
   if (want_over) {
     OverapproximationResult result = ComputeOverapproximations(q, *cls);
-    for (ConjunctiveQuery& sub : result.overapproximations) {
-      over.push_back(PlanRewrite(std::move(sub), opts));
+    std::vector<ConjunctiveQuery>& found = result.overapproximations;
+    std::vector<std::pair<int, int>> rank;
+    rank.reserve(found.size());
+    for (const ConjunctiveQuery& sub : found) rank.push_back(OverRank(sub));
+    std::vector<size_t> order(found.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return rank[a] < rank[b]; });
+    for (const size_t i : order) {
+      over.push_back(PlanRewrite(std::move(found[i]), opts));
       if (static_cast<int>(over.size()) >= opts.max_rewrites) break;
     }
     if (over.empty()) return false;

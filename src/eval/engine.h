@@ -142,7 +142,8 @@ struct PlannerOptions {
   int width_budget = 3;
 
   /// Cap on the number of rewritten queries kept per side (under / over).
-  /// Fewer rewrites = cheaper evaluation, looser bounds.
+  /// Fewer rewrites = cheaper evaluation, looser bounds. The over side keeps
+  /// its best-ranked rewrites (PlanDecision::over), not the first found.
   int max_rewrites = 4;
 
   /// Approximation synthesis enumerates variable partitions (Bell numbers)
@@ -176,6 +177,12 @@ struct PlanDecision {
   std::vector<ApproxSubPlan> under;
   /// Minimal containing in-class subquery rewrites (intersection = possible
   /// answers). Nonempty iff `approximate` and the mode needs an over side.
+  /// Ranked, best first: rewrites with a free-connected component
+  /// (FreeConnectedComponents, cq/properties.h) holding every free
+  /// variable come first, fewest atoms in such a component first; ties
+  /// keep synthesis order. over[0] is the driver the service evaluates and
+  /// filters through the others (docs/ARCHITECTURE.md, "Evaluating the
+  /// over side").
   std::vector<ApproxSubPlan> over;
   std::string reason;  ///< one-line human-readable justification
   /// True when evaluating this plan shard-by-shard and unioning is sound

@@ -29,6 +29,11 @@ struct EvalStats {
   /// delta facts pushed through them (eval/delta_eval.h); 0 on full runs.
   long long delta_ticks = 0;
   long long delta_facts = 0;
+  /// Rows the engines materialized into AnswerSets for the request: the
+  /// exact answer set, or on approximate plans every evaluated sub-plan
+  /// output (a sharded run counts its merged union). Deterministic, so it
+  /// gates materialization work where wall time cannot.
+  long long answer_rows = 0;
 
   /// Accumulates `other` (batch aggregation).
   void Add(const EvalStats& other) {
@@ -41,6 +46,7 @@ struct EvalStats {
     shard_evals += other.shard_evals;
     delta_ticks += other.delta_ticks;
     delta_facts += other.delta_facts;
+    answer_rows += other.answer_rows;
   }
 };
 

@@ -16,11 +16,8 @@ std::vector<ProbeAtom> OrderedProbeAtoms(const ConjunctiveQuery& q) {
   for (const Atom& atom : q.atoms()) {
     atoms.push_back(ProbeAtom{atom.rel, atom.vars});
   }
-  const std::vector<int> order = GreedyProbeOrder(atoms, q.num_variables());
-  std::vector<ProbeAtom> ordered;
-  ordered.reserve(atoms.size());
-  for (const int i : order) ordered.push_back(std::move(atoms[i]));
-  return ordered;
+  return GreedyProbeOrder(std::move(atoms),
+                          std::vector<bool>(q.num_variables(), false));
 }
 
 AnswerSet RunNaive(const ConjunctiveQuery& q, const Database& db,

@@ -50,13 +50,15 @@ struct ProbeAtom {
   std::vector<int> slots;
 };
 
-/// Greedy connected trial order over `atoms`: repeatedly pick the atom whose
-/// slot list has the most occurrences already bound (ties to the lowest
-/// index), then mark its slots bound. This is the atom order both the naive
-/// engine and the treewidth bag materialization used; keeping one copy keeps
-/// their search trees — and their stats — reproducible.
-std::vector<int> GreedyProbeOrder(const std::vector<ProbeAtom>& atoms,
-                                  int num_slots);
+/// Greedy connected trial order over `atoms`: starting from the slots
+/// marked in `bound` (pre-bound at entry; all false for a plain search),
+/// repeatedly pick the atom whose slot list has the most occurrences already
+/// bound (ties to the lowest index), then mark its slots bound. Returns the
+/// atoms in that order. Every engine hot path and the delta seeds use this
+/// one policy, which keeps their search trees — and their stats —
+/// reproducible.
+std::vector<ProbeAtom> GreedyProbeOrder(std::vector<ProbeAtom> atoms,
+                                        std::vector<bool> bound);
 
 /// Depth-first search over `atoms` (in the given trial order) against the
 /// facts of `db`: at depth d, every fact of atoms[d].rel consistent with the

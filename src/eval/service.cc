@@ -7,10 +7,12 @@
 #include <utility>
 
 #include "base/check.h"
+#include "cq/properties.h"
 #include "data/index.h"
 #include "data/shard.h"
 #include "eval/cache.h"
 #include "eval/delta_eval.h"
+#include "eval/probe_core.h"
 #include "eval/shard_eval.h"
 
 namespace cqa {
@@ -58,13 +60,15 @@ AnswerSet EvaluateSubPlan(const ApproxSubPlan& sub, const EngineSet& engines,
                           const IndexedDatabase* idb, const Database& db,
                           EvalStats* stats, const EvalContext* ctx) {
   const Engine& engine = engines.For(sub.kind);
-  if (shard_ctx != nullptr) {
-    return ShardedEvaluate(sub.query, engine, *shard_ctx->shards,
-                           shard_ctx->views, shard_ctx->parallelism, stats,
-                           ctx);
-  }
-  return idb != nullptr ? engine.Evaluate(sub.query, *idb, stats, ctx)
-                        : engine.Evaluate(sub.query, db, stats, ctx);
+  AnswerSet out =
+      shard_ctx != nullptr
+          ? ShardedEvaluate(sub.query, engine, *shard_ctx->shards,
+                            shard_ctx->views, shard_ctx->parallelism, stats,
+                            ctx)
+      : idb != nullptr ? engine.Evaluate(sub.query, *idb, stats, ctx)
+                       : engine.Evaluate(sub.query, db, stats, ctx);
+  stats->answer_rows += static_cast<long long>(out.size());
+  return out;
 }
 
 // Certain answers: the union of the maximally contained rewrites. Each
@@ -87,32 +91,179 @@ AnswerSet UnionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
   return result;
 }
 
+// The candidate checks of IntersectionOfSubPlans: every non-driver rewrite
+// split into free-connected components (FreeConnectedComponents), each an
+// existence probe with its free variables bound from the candidate.
+class OverFilters {
+ public:
+  OverFilters(const std::vector<ApproxSubPlan>& subs,
+              const IndexedDatabase& idb, EvalStats* stats,
+              const EvalContext* ctx) {
+    std::vector<std::vector<int>> enforced;
+    for (size_t r = 0; r < subs.size(); ++r) {
+      AddRewrite(subs[r].query, /*driver=*/r == 0, idb, stats, ctx,
+                 &enforced);
+    }
+    // Memoized components first: after warm-up they cost a lookup.
+    std::stable_partition(components_.begin(), components_.end(),
+                          [](const Component& c) { return c.memoized; });
+  }
+
+  // True iff `t` satisfies every non-driver rewrite. A probe stopped by
+  // `ctx` reads as a failure; the caller stops at the trip anyway.
+  bool Pass(const Tuple& t) {
+    for (const auto& [p, q] : equal_positions_) {
+      if (t[p] != t[q]) return false;
+    }
+    for (Component& c : components_) {
+      bool* memo = nullptr;
+      if (c.memoized) {
+        const auto [it, fresh] =
+            c.memo.try_emplace(c.memo_pos < 0 ? 0 : t[c.memo_pos], false);
+        if (!fresh) {
+          if (!it->second) return false;
+          continue;
+        }
+        memo = &it->second;
+      }
+      for (const auto& [slot, pos] : c.bind) c.assignment[slot] = t[pos];
+      bool found = false;
+      c.search->Search(&c.assignment, [&](std::span<const Element>) {
+        found = true;
+        return true;  // one witness suffices
+      });
+      if (memo != nullptr) *memo = found;
+      if (!found) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Component {
+    std::unique_ptr<ProbeBacktracker> search;
+    std::vector<Element> assignment;        // one slot per variable
+    std::vector<std::pair<int, int>> bind;  // (slot, candidate position)
+    // A component touching at most one distinct free variable is decided
+    // by that variable's value alone: memo maps the value (at candidate
+    // position memo_pos; 0 when it touches none) to "has a witness".
+    bool memoized = false;
+    int memo_pos = -1;
+    std::unordered_map<Element, bool> memo;
+  };
+
+  // Splits `q` into components. Free variables are labelled by their first
+  // free-tuple position, because the synthesized rewrites are relabelled
+  // and minimized: only positions line up with the candidate. A component
+  // whose canonical key is already in `enforced` (the driver's own, or an
+  // earlier filter's) is skipped.
+  void AddRewrite(const ConjunctiveQuery& q, bool driver,
+                  const IndexedDatabase& idb, EvalStats* stats,
+                  const EvalContext* ctx,
+                  std::vector<std::vector<int>>* enforced) {
+    const std::vector<int>& free_tuple = q.free_variables();
+    const int arity = static_cast<int>(free_tuple.size());
+    std::vector<int> first_pos(q.num_variables(), -1);
+    for (int p = 0; p < arity; ++p) {
+      int& first = first_pos[free_tuple[p]];
+      if (first < 0) {
+        first = p;
+      } else if (!driver) {
+        equal_positions_.emplace_back(first, p);
+      }
+    }
+    for (const FreeComponent& fc : FreeConnectedComponents(q)) {
+      std::vector<int> key;
+      std::vector<int> slot_of(q.num_variables(), -1);
+      Component comp;
+      std::vector<ProbeAtom> atoms;
+      std::vector<bool> bound;
+      for (const int i : fc.atoms) {
+        const Atom& atom = q.atoms()[i];
+        key.push_back(atom.rel);
+        ProbeAtom probe{atom.rel, {}};
+        for (const int v : atom.vars) {
+          if (slot_of[v] < 0) {
+            slot_of[v] = static_cast<int>(bound.size());
+            bound.push_back(first_pos[v] >= 0);
+            if (first_pos[v] >= 0) {
+              comp.bind.emplace_back(slot_of[v], first_pos[v]);
+            }
+          }
+          // Existential labels start past every free-tuple position.
+          key.push_back(first_pos[v] >= 0 ? first_pos[v]
+                                          : arity + slot_of[v]);
+          probe.slots.push_back(slot_of[v]);
+        }
+        key.push_back(-1);  // atom separator
+        atoms.push_back(std::move(probe));
+      }
+      if (std::find(enforced->begin(), enforced->end(), key) !=
+          enforced->end()) {
+        continue;
+      }
+      enforced->push_back(std::move(key));
+      if (driver) continue;  // the driver's answers satisfy it already
+      const int num_slots = static_cast<int>(bound.size());
+      comp.assignment.assign(num_slots, -1);
+      comp.search = std::make_unique<ProbeBacktracker>(
+          GreedyProbeOrder(std::move(atoms), bound), num_slots, bound,
+          idb.db(), &idb, stats, ctx);
+      if (fc.free_vars.size() <= 1) {
+        comp.memoized = true;
+        comp.memo_pos =
+            fc.free_vars.empty() ? -1 : first_pos[fc.free_vars[0]];
+      }
+      components_.push_back(std::move(comp));
+    }
+  }
+
+  std::vector<Component> components_;
+  std::vector<std::pair<int, int>> equal_positions_;
+};
+
 // Possible answers: the intersection of the containing rewrites. Each
 // rewrite Q'' satisfies Q ⊆ Q'', so no genuine answer is ever dropped —
-// but ONLY when every rewrite ran to completion: an interrupted part is a
-// subset of its rewrite, so the intersection may drop genuine answers. The
-// caller marks the over side invalid whenever ctx tripped.
+// but ONLY when every rewrite ran to completion, which the caller checks:
+// it marks the over side invalid whenever ctx tripped.
+//
+// Indexed mode evaluates only the driver subs[0] (the planner ranks the
+// most selective rewrite first; sharded when the plan is shard-sound) and
+// keeps each of its answers that passes OverFilters, probing the plain
+// view, in driver order. Scan mode (`idb` null) evaluates the rest too and
+// keeps the driver answers every one of them contains: there, each probe
+// depth of a filter scans its whole relation per candidate, which made
+// the filters 21-51x slower than intersecting on a 500-node out-degree-5
+// digraph (bench_cross_batch's approx series times scan mode).
 AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
                                  const EngineSet& engines,
                                  const ShardContext* shard_ctx,
                                  const IndexedDatabase* idb, const Database& db,
                                  int arity, EvalStats* stats,
                                  const EvalContext* ctx) {
-  std::vector<AnswerSet> parts;
-  parts.reserve(subs.size());
-  for (const ApproxSubPlan& sub : subs) {
-    if (ctx != nullptr && !ctx->ok()) break;
-    parts.push_back(
-        EvaluateSubPlan(sub, engines, shard_ctx, idb, db, stats, ctx));
-  }
   AnswerSet result(arity);
-  if (parts.empty() || parts.size() != subs.size()) return result;
-  for (const Tuple& t : parts[0].tuples()) {
-    bool in_all = true;
-    for (size_t i = 1; i < parts.size() && in_all; ++i) {
-      in_all = parts[i].Contains(t);
+  if (subs.empty()) return result;
+  AnswerSet candidates =
+      EvaluateSubPlan(subs[0], engines, shard_ctx, idb, db, stats, ctx);
+  if (candidates.empty() || subs.size() == 1) return candidates;
+  if (idb != nullptr) {
+    OverFilters filters(subs, *idb, stats, ctx);
+    for (const Tuple& t : candidates.tuples()) {
+      if (ctx != nullptr && !ctx->ok()) break;
+      if (filters.Pass(t)) result.Insert(t);
     }
-    if (in_all) result.Insert(t);
+    return result;
+  }
+  std::vector<AnswerSet> rest;
+  for (size_t i = 1; i < subs.size(); ++i) {
+    if (ctx != nullptr && !ctx->ok()) return result;
+    rest.push_back(
+        EvaluateSubPlan(subs[i], engines, shard_ctx, idb, db, stats, ctx));
+  }
+  for (const Tuple& t : candidates.tuples()) {
+    if (std::all_of(rest.begin(), rest.end(),
+                    [&](const AnswerSet& part) { return part.Contains(t); })) {
+      result.Insert(t);
+    }
   }
   return result;
 }
@@ -163,6 +314,7 @@ void EvaluatePlanned(const EvalRequest& request, const EngineSet& engines,
               ? engine.Evaluate(request.query, *idb, &out->eval, ctx)
               : engine.Evaluate(request.query, db, &out->eval, ctx);
     }
+    out->eval.answer_rows += static_cast<long long>(out->answers.size());
     out->exact = true;
     if (request.mode == AnswerMode::kBounds) {
       AnswerBounds bounds;

@@ -3,17 +3,25 @@
 // sandwich the forced-exact answers (under ⊆ exact ⊆ over) on the gadget
 // workloads, tractable queries must collapse the sandwich, and approximation
 // synthesis must be paid once per query shape — the second batch through a
-// shared EvalCache serves the synthesized plans from the plan tier.
+// shared EvalCache serves the synthesized plans from the plan tier. The
+// over side is pinned differentially: whatever the driver-and-filters
+// evaluation does, it must equal the plain intersection of the plan's
+// over-rewrites, each evaluated directly through its engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "base/rng.h"
+#include "core/overapprox.h"
+#include "core/query_class.h"
+#include "cq/containment.h"
 #include "cq/parse.h"
+#include "cq/properties.h"
 #include "data/generators.h"
 #include "eval/cache.h"
 #include "eval/naive.h"
@@ -448,6 +456,306 @@ TEST(QueryServiceTest, EvaluateBatchWhileAnotherThreadSubmits) {
     EXPECT_TRUE(futures[i].get().answers == want) << "submitted job " << i;
   }
   service.Shutdown();
+}
+
+// The over side's reference: every over-rewrite evaluated directly through
+// MakeEngine(sub.kind) on the scan path, then intersected.
+AnswerSet IntersectRewrites(const std::vector<ApproxSubPlan>& over,
+                            const Database& db, int arity) {
+  AnswerSet result(arity);
+  for (size_t i = 0; i < over.size(); ++i) {
+    const AnswerSet part =
+        MakeEngine(over[i].kind)->Evaluate(over[i].query, db);
+    if (i == 0) {
+      result = part;
+      continue;
+    }
+    AnswerSet kept(arity);
+    for (const Tuple& t : result.tuples()) {
+      if (part.Contains(t)) kept.Insert(t);
+    }
+    result = std::move(kept);
+  }
+  return result;
+}
+
+// True when no free-connected component of `q` holds every free variable:
+// the filters must then bind one candidate into several components.
+bool FreeVariablesSplit(const ConjunctiveQuery& q) {
+  std::vector<int> head = q.free_variables();
+  std::sort(head.begin(), head.end());
+  head.erase(std::unique(head.begin(), head.end()), head.end());
+  for (const FreeComponent& c : FreeConnectedComponents(q)) {
+    if (c.free_vars.size() == head.size()) return false;
+  }
+  return true;
+}
+
+// E/2, T/3 and the nullary flag P, for the mixed-arity differential cases.
+VocabularyPtr MixedVocabulary() {
+  auto vocab = std::make_shared<Vocabulary>();
+  vocab->AddRelation("E", 2);
+  vocab->AddRelation("T", 3);
+  vocab->AddRelation("P", 0);
+  return vocab;
+}
+
+Database RandomMixedDatabase(const VocabularyPtr& vocab, int n, bool flag,
+                             Rng* rng) {
+  Database db(vocab, n);
+  const auto pick = [&] { return static_cast<Element>(rng->UniformInt(n)); };
+  for (int i = 0; i < 3 * n; ++i) db.AddFact(0, {pick(), pick()});
+  for (int i = 0; i < 4 * n; ++i) db.AddFact(1, {pick(), pick(), pick()});
+  if (flag) db.AddFact(2, {});
+  return db;
+}
+
+// The over side — kOverApproximate's answers and kBounds's `over` — equals
+// the intersection of the plan's over-rewrites on every seeded shape, in
+// indexed and scan mode, unsharded and over two shards.
+TEST(QueryServiceTest, OverSideEqualsIntersectionOfRewrites) {
+  struct Case {
+    ConjunctiveQuery query;
+    const Database* db;
+    int width_budget;
+  };
+  Rng rng(20261019);
+  std::vector<Database> graphs;
+  graphs.push_back(RandomDigraphDatabase(14, 0.3, &rng, /*allow_loops=*/true));
+  graphs.push_back(RandomCycleChordDatabase(16, 8, &rng));
+  const VocabularyPtr mixed = MixedVocabulary();
+  std::vector<Database> mixed_dbs;
+  mixed_dbs.push_back(RandomMixedDatabase(mixed, 8, /*flag=*/true, &rng));
+  mixed_dbs.push_back(RandomMixedDatabase(mixed, 8, /*flag=*/false, &rng));
+
+  std::vector<Case> cases;
+  for (int i = 0; i < 16; ++i) {
+    ConjunctiveQuery q = RandomCyclicGraphCQ(
+        3 + i % 4, static_cast<int>(rng.UniformInt(4)), &rng);
+    // Boolean as generated for every fourth shape; otherwise one to three
+    // distinct free variables.
+    if (i % 4 != 3) {
+      std::vector<int> free_vars;
+      const int want = std::min(1 + i % 3, q.num_variables());
+      while (static_cast<int>(free_vars.size()) < want) {
+        const int v = static_cast<int>(rng.UniformInt(q.num_variables()));
+        if (std::find(free_vars.begin(), free_vars.end(), v) ==
+            free_vars.end()) {
+          free_vars.push_back(v);
+        }
+      }
+      q.SetFreeVariables(std::move(free_vars));
+    }
+    cases.push_back({std::move(q), &graphs[i % 2], 1});
+  }
+  const VocabularyPtr graph = graphs[0].vocab();
+  for (const char* text :
+       {"Q(x, x) :- E(x, y), E(y, z), E(z, x)",
+        "Q() :- E(x, y), E(y, z), E(z, x), E(x, w)",
+        "Q(x, z) :- E(x, y), E(y, z), E(z, w), E(w, x), E(x, z)"}) {
+    for (const Database& db : graphs) {
+      cases.push_back({MustParseQuery(graph, text), &db, 1});
+    }
+  }
+  // Every atom keys on x: the plan is shard-sound, so with shards the
+  // driver runs as a per-shard union while the filters probe the plain view.
+  for (const char* text :
+       {"Q(x, y) :- T(x, y, z), T(x, z, w), T(x, w, y)",
+        "Q(x, y) :- T(x, y, z), T(x, z, w), T(x, w, y), P()",
+        "Q(x, z) :- E(x, y), E(y, z), E(z, x), P()"}) {
+    for (const Database& db : mixed_dbs) {
+      cases.push_back({MustParseQuery(mixed, text), &db, 2});
+    }
+  }
+
+  const auto cache = std::make_shared<EvalCache>();
+  int compared = 0, split = 0, sharded = 0;
+  for (const Case& c : cases) {
+    const int arity = static_cast<int>(c.query.free_variables().size());
+    for (const bool use_index : {true, false}) {
+      for (const int num_shards : {0, 2}) {
+        EvalOptions opts;
+        opts.num_threads = 1;
+        opts.planner.width_budget = c.width_budget;
+        opts.engine.use_index = use_index;
+        opts.num_shards = num_shards;
+        opts.cache = cache;
+        const QueryService service(opts);
+        for (const AnswerMode mode :
+             {AnswerMode::kOverApproximate, AnswerMode::kBounds}) {
+          const EvalResponse r = service.Evaluate({c.query, c.db, mode});
+          ASSERT_EQ(r.status, ResponseStatus::kOk);
+          if (!r.plan.approximate) continue;
+          const AnswerSet want = IntersectRewrites(r.plan.over, *c.db, arity);
+          const AnswerSet& got =
+              mode == AnswerMode::kBounds ? r.bounds->over : r.answers;
+          EXPECT_TRUE(got == want)
+              << PrintQuery(c.query) << " index=" << use_index
+              << " shards=" << num_shards << " mode=" << AnswerModeName(mode)
+              << ": " << got.size() << " vs " << want.size();
+          EXPECT_TRUE(EvaluateNaive(c.query, *c.db).IsSubsetOf(got));
+          if (mode == AnswerMode::kBounds) {
+            EXPECT_TRUE(r.bounds->over_valid);
+          }
+          ++compared;
+          if (r.sharded) ++sharded;
+          for (const ApproxSubPlan& sub : r.plan.over) {
+            if (FreeVariablesSplit(sub.query)) ++split;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+  EXPECT_GT(split, 0);
+  EXPECT_GT(sharded, 0);
+}
+
+// A subscribed bounds query maintains each over-rewrite incrementally; its
+// possible side must match what the driver-and-filters evaluation of the
+// same database returns after every Publish.
+TEST(QueryServiceTest, SubscribedOverSideMatchesBatchAcrossPublishes) {
+  Rng rng(31);
+  Database db = RandomDigraphDatabase(12, 0.2, &rng, /*allow_loops=*/true);
+  const ConjunctiveQuery q = MustParseQuery(
+      db.vocab(), "Q(x, z) :- E(x, y), E(y, z), E(z, w), E(w, x), E(x, z)");
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.planner.width_budget = 1;
+  opts.cache = std::make_shared<EvalCache>();
+  QueryService service(opts);
+  const std::unique_ptr<Subscription> sub =
+      service.Subscribe({q, &db, AnswerMode::kBounds});
+  ASSERT_TRUE(sub->plan().approximate);
+  for (int step = 0; step < 6; ++step) {
+    if (step > 0) {
+      for (int k = 0; k < 4; ++k) {
+        service.Publish(&db, 0,
+                        {static_cast<Element>(rng.UniformInt(12)),
+                         static_cast<Element>(rng.UniformInt(12))});
+      }
+    }
+    ASSERT_TRUE(sub->Poll().caught_up);
+    ASSERT_TRUE(sub->over_valid());
+    const std::vector<EvalResponse> batch =
+        service.EvaluateBatch({{q, &db, AnswerMode::kBounds}});
+    ASSERT_TRUE(batch[0].bounds.has_value());
+    EXPECT_TRUE(sub->possible() == batch[0].bounds->over) << "step " << step;
+    EXPECT_TRUE(batch[0].bounds->over ==
+                IntersectRewrites(batch[0].plan.over, db, 2));
+  }
+  service.Shutdown();
+}
+
+// Search-node polls one engine run of `sub` makes against a fresh view.
+long long PollsOf(const ApproxSubPlan& sub, const Database& db) {
+  const IndexedDatabase idb(db);
+  const EvalContext ctx;
+  MakeEngine(sub.kind)->Evaluate(sub.query, idb, nullptr, &ctx);
+  return ctx.nodes_polled();
+}
+
+// A node budget that lets the driver finish and trips two polls into the
+// filters: the over side comes back partial and is never labelled valid.
+TEST(QueryServiceTest, NodeBudgetTrippingMidFilterInvalidatesOverSide) {
+  Rng rng(32);
+  const Database db =
+      RandomDigraphDatabase(40, 0.15, &rng, /*allow_loops=*/true);
+  const ConjunctiveQuery q = TriangleOutputCQ();
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.planner.width_budget = 1;
+  const QueryService service(opts);
+  const EvalResponse full =
+      service.Evaluate({q, &db, AnswerMode::kOverApproximate});
+  ASSERT_TRUE(full.plan.approximate);
+  ASSERT_GE(full.plan.over.size(), 2u);
+  ASSERT_FALSE(full.answers.empty());
+  const long long driver = PollsOf(full.plan.over[0], db);
+
+  // One poll before planning, then the driver, then two filter polls.
+  EvalRequest over{q, &db, AnswerMode::kOverApproximate};
+  over.limits.max_nodes = 1 + driver + 2;
+  const EvalResponse cut = service.Evaluate(over);
+  EXPECT_EQ(cut.status, ResponseStatus::kTruncated);
+  EXPECT_FALSE(cut.exact);
+  EXPECT_TRUE(cut.answers.IsSubsetOf(full.answers));
+  EXPECT_LT(cut.answers.size(), full.answers.size());
+
+  // kBounds runs the under side first; it completes, the over side trips.
+  const EvalResponse whole = service.Evaluate({q, &db, AnswerMode::kBounds});
+  ASSERT_TRUE(whole.bounds.has_value());
+  ASSERT_FALSE(whole.plan.under.empty());
+  long long under = 0;
+  for (const ApproxSubPlan& sub : whole.plan.under) under += PollsOf(sub, db);
+  EvalRequest bounds{q, &db, AnswerMode::kBounds};
+  bounds.limits.max_nodes = 1 + under + driver + 2;
+  const EvalResponse tripped = service.Evaluate(bounds);
+  EXPECT_EQ(tripped.status, ResponseStatus::kTruncated);
+  ASSERT_TRUE(tripped.bounds.has_value());
+  EXPECT_FALSE(tripped.bounds->over_valid);
+  EXPECT_TRUE(tripped.bounds->under == whole.bounds->under);
+  EXPECT_TRUE(tripped.bounds->over.IsSubsetOf(whole.bounds->over));
+}
+
+// The rewrite cap keeps the best-ranked over-rewrites, not the first ones
+// found. On the chorded 4-cycle, the first four found all lack the chord
+// E(x, z); the ranking keeps the rewrites that contain it, and the possible
+// answers shrink. The 5-cycle's ranking keeps the four it always kept.
+TEST(QueryServiceTest, RewriteCapKeepsTheChordedRewrites) {
+  Rng rng(5);
+  const Database db = RandomDigraphDatabase(500, 5.0 / 500, &rng);
+  const VocabularyPtr vocab = db.vocab();
+  const ConjunctiveQuery chorded = MustParseQuery(
+      vocab, "Q(x, z) :- E(x, y), E(y, z), E(z, w), E(w, x), E(x, z)");
+  const ConjunctiveQuery five_cycle = MustParseQuery(
+      vocab, "Q(x, z) :- E(x, y), E(y, z), E(z, u), E(u, w), E(w, x)");
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.planner.width_budget = 1;
+  const QueryService service(opts);
+  const std::unique_ptr<QueryClass> tw1 = MakeTreewidthClass(1);
+  const auto first_found = [&](const ConjunctiveQuery& q) {
+    std::vector<ConjunctiveQuery> found =
+        ComputeOverapproximations(q, *tw1).overapproximations;
+    if (found.size() > static_cast<size_t>(opts.planner.max_rewrites)) {
+      found.erase(found.begin() + opts.planner.max_rewrites, found.end());
+    }
+    return found;
+  };
+
+  const EvalResponse r =
+      service.Evaluate({chorded, &db, AnswerMode::kOverApproximate});
+  ASSERT_TRUE(r.plan.approximate);
+  const auto is_chord = [](const ApproxSubPlan& sub) {
+    const std::vector<int>& head = sub.query.free_variables();
+    for (const Atom& atom : sub.query.atoms()) {
+      if (atom.vars == std::vector<int>{head[0], head[1]}) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(std::any_of(r.plan.over.begin(), r.plan.over.end(), is_chord));
+  std::vector<ApproxSubPlan> capped_by_discovery;
+  for (ConjunctiveQuery& q : first_found(chorded)) {
+    const EngineKind kind = PlanQuery(q).kind;
+    capped_by_discovery.push_back({std::move(q), kind});
+  }
+  const AnswerSet discovery_over =
+      IntersectRewrites(capped_by_discovery, db, 2);
+  const AnswerSet exact = EvaluateNaive(chorded, IndexedDatabase(db));
+  EXPECT_TRUE(exact.IsSubsetOf(r.answers));
+  EXPECT_LT(r.answers.size(), discovery_over.size());
+
+  const EvalResponse five =
+      service.Evaluate({five_cycle, &db, AnswerMode::kOverApproximate});
+  const std::vector<ConjunctiveQuery> kept = first_found(five_cycle);
+  ASSERT_EQ(five.plan.over.size(), kept.size());
+  for (const ConjunctiveQuery& q : kept) {
+    EXPECT_TRUE(std::any_of(
+        five.plan.over.begin(), five.plan.over.end(),
+        [&](const ApproxSubPlan& sub) { return AreEquivalent(sub.query, q); }))
+        << PrintQuery(q);
+  }
 }
 
 }  // namespace
